@@ -2,7 +2,8 @@
 #   make ci  — lint (gofmt + vet + the semproxlint analyzer suite),
 #              build, race-enabled tests, the
 #              per-package coverage floors (learning core, serving layer,
-#              public api + client, WAL, replica, load statistics), a
+#              public api + client, WAL, replica, load statistics),
+#              vet + tests of the benchmark module (perfbench/), a
 #              bench smoke run that cross-checks parallel vs serial
 #              results on the offline index build and the online sharded
 #              top-k scan, runs a live ApplyUpdate cycle cross-checked
@@ -25,9 +26,9 @@
 GO ?= go
 COVER_FLOOR ?= 80
 
-.PHONY: ci lint vet build test cover fuzz-smoke bench-smoke bench replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-smoke-e2e load-gate load-bench proxy-bench
+.PHONY: ci lint vet build test cover perfbench-check fuzz-smoke bench-smoke bench replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-smoke-e2e load-gate load-bench proxy-bench
 
-ci: lint build test cover fuzz-smoke bench-smoke replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-gate
+ci: lint build test cover perfbench-check fuzz-smoke bench-smoke replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-gate
 
 # gofmt must be a no-op, vet must be clean, and the repo's own analyzer
 # suite (cmd/semproxlint: rawpath, atomicwrite, metricname, envelope,
@@ -55,6 +56,14 @@ lint:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark (perfbench/) is a module of its own, so `go build ./...`
+# never compiles it; this vets and tests it against the checkout, with
+# perfbench/run.sh's offline module settings, so an API change in the
+# packages it drives cannot silently break it.
+perfbench-check:
+	cd perfbench && export GOPROXY=off GOFLAGS=-mod=mod GOWORK=off && \
+		$(GO) vet ./... && $(GO) test ./...
 
 # Bounded per-commit fuzzing: every Fuzz* target runs its engine for a
 # short budget (FUZZ_TIME, default 5s each) so corpora actually execute

@@ -382,7 +382,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 			case <-time.After(c.RetryBackoff):
 			}
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+api.MetricsPath, nil)
 		if err != nil {
 			return "", fmt.Errorf("client: %w", err)
 		}

@@ -180,7 +180,7 @@ func failoverCycle() (restore time.Duration, acked int, term uint64, err error) 
 			if err != nil {
 				return
 			}
-			if _, _, err := semprox.ReplayWAL(n.f.Engine(), w); err != nil {
+			if _, err := semprox.ReplayWAL(n.f.Engine(), w); err != nil {
 				return
 			}
 			if err := n.srv.Promote(w); err != nil {

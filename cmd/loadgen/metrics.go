@@ -29,7 +29,7 @@ func (t *target) scrapeOpsServed(ctx context.Context) (uint64, error) {
 	}
 	var total uint64
 	for _, base := range t.metricsURLs {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+api.MetricsPath, nil)
 		if err != nil {
 			return 0, err
 		}

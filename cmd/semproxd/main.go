@@ -73,7 +73,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		snapshot   = flag.String("snapshot", "", "start from this engine snapshot instead of training")
 		save       = flag.String("save", "", "write the trained engine snapshot here before serving")
-		walDir     = flag.String("wal", "", "write-ahead log directory: fsync every /update before applying it, replay the log tail on boot, serve /replicate to followers")
+		walDir     = flag.String("wal", "", "write-ahead log directory: log every accepted /update and fsync it before the ack, replay the log tail on boot, serve /replicate to followers")
 		follow     = flag.String("follow", "", "run as a read replica of the primary at this base URL (e.g. http://host:8080); offline flags are ignored")
 		stateDir   = flag.String("state", "", "follower-local state directory (snapshot + WAL): replicated records fsync here before applying, restarts resume from local state instead of re-bootstrapping, and promotion (-peers) serves writes from this log")
 		peers      = flag.String("peers", "", "comma-separated base URLs of the other replication nodes: the follower monitors its primary and runs a promotion election when it dies (requires -state and -advertise)")
@@ -238,7 +238,7 @@ func buildFollower(ctx context.Context, primaryURL string, workers int, walDir, 
 			// The local log can end ahead of the engine (a batch fsynced
 			// but not yet applied when Run stopped); replay closes the gap
 			// before writes are accepted.
-			if _, _, err := semprox.ReplayWAL(f.Engine(), w); err != nil {
+			if _, err := semprox.ReplayWAL(f.Engine(), w); err != nil {
 				log.Printf("PROMOTION FAILED replaying the local log tail: %v", err)
 				return
 			}
@@ -278,19 +278,14 @@ func buildPrimary(snapshot, save, walDir, dsName string, users int,
 			return nil, nil, err
 		}
 		start := time.Now()
-		replayed, skipped, err := semprox.ReplayWAL(eng, w)
+		replayed, err := semprox.ReplayWAL(eng, w)
 		if err != nil {
 			return nil, nil, err
 		}
-		if replayed > 0 || skipped > 0 {
+		if replayed > 0 {
 			eng.Compact()
 			log.Printf("recovered %d logged updates in %.2fs (engine now at LSN %d, epoch %d)",
 				replayed, time.Since(start).Seconds(), eng.LSN(), eng.Epoch())
-		}
-		if skipped > 0 {
-			log.Printf("WARNING: replay reproduced %d recorded skip(s): record(s) this primary logged, "+
-				"then rejected and alarmed about before a crash (a rejection NOT recorded in the "+
-				"log's skip list would have failed this boot instead)", skipped)
 		}
 	}
 

@@ -7,8 +7,8 @@
 //
 // One implementation serves every writer that needs the pattern — engine
 // snapshots (cmd/semproxd), benchmark reports (cmd/bench), the WAL's
-// skip-list sidecar (internal/wal) — so a future durability fix lands in
-// one place.
+// term sidecar (internal/wal) — so a future durability fix lands in one
+// place.
 package atomicfile
 
 import (

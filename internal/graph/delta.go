@@ -68,9 +68,10 @@ func (g *Graph) Overlaid() bool { return g.ovl != nil }
 // holding numNodes nodes under the given type registry — exactly Apply's
 // rejection conditions (unknown type name, out-of-range edge endpoint),
 // factored out as THE definition of delta acceptability. Apply itself
-// validates through it, and replication uses it to predict a logged
-// record's acceptance at the record's own position in a coalesced batch:
-// a record the primary rejected must fail on followers too, and sharing
+// validates through it, so a primary (which applies before it logs)
+// never logs a delta it fails, and a follower checks each replicated
+// record with it at the record's own position in a coalesced batch:
+// a record no primary would have logged fails there too, and sharing
 // the predicate makes that structural — a future extra rejection
 // condition added here is automatically enforced on both sides.
 func ValidateApply(types *TypeRegistry, numNodes int, d Delta) error {

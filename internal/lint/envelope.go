@@ -14,7 +14,7 @@ import (
 // http.Error or fmt.Fprint* on a ResponseWriter ships a free-text body
 // that no client can branch on and that breaks the byte-identity
 // guarantees the replica and alias tests pin. Errors must go through the
-// api envelope helpers (writeErr over api.Errorf).
+// api envelope helpers (api.WriteError over api.Errorf).
 var Envelope = &analysis.Analyzer{
 	Name: "envelope",
 	Doc: "report http.Error / fmt.Fprint* error rendering on ResponseWriters in internal/server " +
@@ -48,10 +48,10 @@ func runEnvelope(pass *analysis.Pass) (any, error) {
 			switch name := calleeName(pass, call); {
 			case name == "net/http.Error":
 				sup.report(call.Pos(),
-					"http.Error writes a free-text body: render errors through the api envelope (writeErr / api.Errorf)")
+					"http.Error writes a free-text body: render errors through the api envelope (api.WriteError / api.Errorf)")
 			case fprinters[name] && len(call.Args) > 0 && writesToResponseWriter(pass, rw, call.Args[0]):
 				sup.report(call.Pos(),
-					"%s onto an http.ResponseWriter bypasses the api envelope: render responses through the api types (writeJSON / writeErr)", name)
+					"%s onto an http.ResponseWriter bypasses the api envelope: render responses through the api types (api.WriteJSON / api.WriteError)", name)
 			}
 			return true
 		})

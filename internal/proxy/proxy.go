@@ -35,14 +35,12 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -183,7 +181,7 @@ func New(r *client.Router, opts Options) *Proxy {
 		p.mux.HandleFunc(path, h)
 		p.mux.HandleFunc(api.LegacyPath(path), h)
 	}
-	p.mux.Handle(metricsPath, obs.Handler(p.reg, obs.Default()))
+	p.mux.Handle(api.MetricsPath, obs.Handler(p.reg, obs.Default()))
 	// Routing transitions count on the proxy registry; an OnEvent the
 	// caller already installed keeps firing after ours.
 	prev := r.OnEvent
@@ -211,10 +209,6 @@ const (
 	helpCacheLookups   = "Response cache lookups at the current epoch, by result."
 )
 
-// metricsPath serves the Prometheus exposition. Unversioned on purpose:
-// it is operational surface, not part of the /v1 wire contract.
-const metricsPath = "/metrics"
-
 // buildWrap (re)wraps the mux with the obs middleware.
 func (p *Proxy) buildWrap(logger *slog.Logger, slow time.Duration) {
 	p.wrap = obs.WrapHTTP(p.mux, obs.HTTPOptions{
@@ -223,7 +217,7 @@ func (p *Proxy) buildWrap(logger *slog.Logger, slow time.Duration) {
 		Component:     "proxy",
 		Logger:        logger,
 		SlowThreshold: slow,
-		PathLabel:     pathLabel,
+		PathLabel:     api.PathLabel,
 		EpochHeader:   api.HeaderEpoch,
 		CacheHeader:   HeaderCache,
 	})
@@ -235,23 +229,6 @@ func (p *Proxy) buildWrap(logger *slog.Logger, slow time.Duration) {
 // slow (0 never escalates). Call before serving.
 func (p *Proxy) SetRequestLog(logger *slog.Logger, slow time.Duration) {
 	p.buildWrap(logger, slow)
-}
-
-// knownPaths bounds metric label cardinality: canonical /v1 paths and
-// /metrics keep their names, everything else (typos, scans) collapses.
-var knownPaths = func() map[string]bool {
-	m := map[string]bool{metricsPath: true}
-	for _, p := range api.Paths() {
-		m[p] = true
-	}
-	return m
-}()
-
-func pathLabel(p string) string {
-	if c := api.CanonicalPath(p); knownPaths[c] {
-		return c
-	}
-	return "other"
 }
 
 // ServeHTTP implements http.Handler.
@@ -482,12 +459,12 @@ func copyRespHeaders(w http.ResponseWriter, h http.Header) {
 // current epoch first, then a hedged forward whose 200 responses fill
 // the cache under the epoch the backend stamped them with.
 func (p *Proxy) handleCachedRead(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet, http.MethodPost) {
+	if !api.CheckMethod(w, r, http.MethodGet, http.MethodPost) {
 		return
 	}
 	body, herr := readBody(r)
 	if herr != nil {
-		writeErr(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	path := api.CanonicalPath(r.URL.Path)
@@ -502,7 +479,7 @@ func (p *Proxy) handleCachedRead(w http.ResponseWriter, r *http.Request) {
 	}
 	res, herr := p.forwardRead(r.Context(), r.Method, path, r.URL.RawQuery, body)
 	if herr != nil {
-		writeErr(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	if res.status == http.StatusOK {
@@ -519,12 +496,12 @@ func (p *Proxy) handleCachedRead(w http.ResponseWriter, r *http.Request) {
 // handlePlainRead serves healthz and classes: hedged forward, no cache
 // (they're cheap and not epoch-stamped).
 func (p *Proxy) handlePlainRead(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !api.CheckMethod(w, r, http.MethodGet) {
 		return
 	}
 	res, herr := p.forwardRead(r.Context(), r.Method, api.CanonicalPath(r.URL.Path), r.URL.RawQuery, nil)
 	if herr != nil {
-		writeErr(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	copyRespHeaders(w, res.header)
@@ -538,12 +515,12 @@ func (p *Proxy) handlePlainRead(w http.ResponseWriter, r *http.Request) {
 // response's epoch as an immediate cache flush: a write through the
 // proxy invalidates synchronously, before its ack reaches the caller.
 func (p *Proxy) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodPost) {
+	if !api.CheckMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req api.UpdateRequest
-	if herr := decodeStrict(w, r, &req); herr != nil {
-		writeErr(w, herr)
+	if herr := api.DecodeStrict(w, r, &req); herr != nil {
+		api.WriteError(w, herr)
 		return
 	}
 	resp, err := p.router.Update(r.Context(), req)
@@ -552,7 +529,7 @@ func (p *Proxy) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.cache.advance(resp.Epoch)
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleStats forwards the resolved primary's stats and appends the
@@ -560,7 +537,7 @@ func (p *Proxy) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // doubles as a cache-flush signal (poll piggybacking: any caller asking
 // for stats refreshes the proxy's epoch for free).
 func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !api.CheckMethod(w, r, http.MethodGet) {
 		return
 	}
 	st, err := p.router.Stats(r.Context())
@@ -571,14 +548,14 @@ func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
 	p.cache.advance(st.Epoch)
 	counters := p.Counters()
 	st.Proxy = &counters
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleReadyz answers for the proxy itself: ready while at least one
 // backend can serve reads (a live follower, or a reachable ready
 // primary).
 func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !api.CheckMethod(w, r, http.MethodGet) {
 		return
 	}
 	ready := len(p.router.Live()) > 0
@@ -593,7 +570,7 @@ func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		out.Status = api.StatusNoBackends
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, out)
+	api.WriteJSON(w, status, out)
 }
 
 // handleReplicate streams the replication endpoints through to the
@@ -601,7 +578,7 @@ func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // be buffered, hedged, or timed out by the proxy (the request context
 // still applies).
 func (p *Proxy) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !api.CheckMethod(w, r, http.MethodGet) {
 		return
 	}
 	c := p.router.Primary()
@@ -611,7 +588,7 @@ func (p *Proxy) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
 	if err != nil {
-		writeErr(w, api.Errorf(http.StatusInternalServerError, api.CodeInternal, "%v", err))
+		api.WriteError(w, api.Errorf(http.StatusInternalServerError, api.CodeInternal, "%v", err))
 		return
 	}
 	resp, err := p.raw.Do(req)
@@ -625,63 +602,14 @@ func (p *Proxy) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	io.Copy(w, resp.Body) //nolint:errcheck // the client is gone if this fails
 }
 
-// --- wire helpers, mirroring internal/server's envelope rendering ---
-
-// writeJSON writes v with the given status in the server's format, so
-// typed forwards stay byte-identical to direct backend responses.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the client is gone if this fails
-}
-
-// writeErr writes err as the structured error envelope.
-func writeErr(w http.ResponseWriter, err *api.Error) {
-	writeJSON(w, err.Status, api.ErrorEnvelope{Error: *err})
-}
-
 // writeUpstreamErr renders a typed-forward failure: a structured backend
 // error passes through under its own status and code; a transport
 // failure becomes a 502.
 func writeUpstreamErr(w http.ResponseWriter, err error) {
 	var apiErr *api.Error
 	if errors.As(err, &apiErr) {
-		writeErr(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
-	writeErr(w, api.Errorf(http.StatusBadGateway, api.CodeInternal, "proxy: backend unreachable: %v", err))
-}
-
-// methodCheck mirrors internal/server's: 405 with the canonical path.
-func methodCheck(w http.ResponseWriter, r *http.Request, allowed ...string) bool {
-	for _, m := range allowed {
-		if r.Method == m {
-			return true
-		}
-	}
-	w.Header().Set("Allow", strings.Join(allowed, ", "))
-	writeErr(w, api.Errorf(http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-		"method %s not allowed on %s", r.Method, api.CanonicalPath(r.URL.Path)))
-	return false
-}
-
-// decodeStrict mirrors internal/server's body decoding so proxy-side
-// rejections carry the same envelope a backend would send.
-func decodeStrict(w http.ResponseWriter, r *http.Request, v any) *api.Error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return api.Errorf(http.StatusBadRequest, api.CodeBadRequest,
-				"request body exceeds %d bytes", api.MaxBodyBytes)
-		}
-		return api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "malformed JSON: %v", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "trailing data after JSON body")
-	}
-	return nil
+	api.WriteError(w, api.Errorf(http.StatusBadGateway, api.CodeInternal, "proxy: backend unreachable: %v", err))
 }

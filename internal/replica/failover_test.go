@@ -176,7 +176,7 @@ func TestPromotionServesWrites(t *testing.T) {
 	if got := w.Term(); got != 2 {
 		t.Fatalf("promoted term = %d, want 2", got)
 	}
-	if _, _, err := semprox.ReplayWAL(f.Engine(), w); err != nil {
+	if _, err := semprox.ReplayWAL(f.Engine(), w); err != nil {
 		t.Fatal(err)
 	}
 	if err := fsrv.Promote(w); err != nil {
@@ -241,7 +241,7 @@ func TestZombiePrimaryIsFenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := semprox.ReplayWAL(fa.Engine(), w); err != nil {
+	if _, err := semprox.ReplayWAL(fa.Engine(), w); err != nil {
 		t.Fatal(err)
 	}
 	if err := srvA.Promote(w); err != nil {
@@ -517,7 +517,7 @@ func TestMonitorElectsLongestLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := semprox.ReplayWAL(f1.Engine(), w); err != nil {
+	if _, err := semprox.ReplayWAL(f1.Engine(), w); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv1.Promote(w); err != nil {

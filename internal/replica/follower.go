@@ -165,7 +165,7 @@ func (f *Follower) Restore() (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("replica: restore: %w", err)
 	}
-	if _, _, err := semprox.ReplayWAL(eng, log); err != nil {
+	if _, err := semprox.ReplayWAL(eng, log); err != nil {
 		log.Close()
 		return false, fmt.Errorf("replica: restore: %w", err)
 	}
@@ -341,11 +341,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			if errors.As(err, &app) {
 				// The local engine can never converge from here; only a
 				// fresh snapshot can. Stop reporting ready until a clean
-				// poll completes after re-bootstrap. This cannot loop on
-				// one record: a record the primary itself rejected after
-				// logging is recorded as a skip there (Engine.AdvanceLSN),
-				// so the primary's snapshot LSN is already beyond it and
-				// the fresh bootstrap resumes past the record.
+				// poll completes after re-bootstrap.
 				f.polled.Store(false)
 				select {
 				case <-ctx.Done():
@@ -433,13 +429,15 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 	// contiguous — a gap means the primary truncated its log past this
 	// follower and records in between are gone, so applying anything
 	// later would silently diverge. Each record is validated EXACTLY as
-	// a one-at-a-time apply would validate it (known types, edge
-	// endpoints within the node count as of ITS position in the stream):
-	// a record the primary logged but rejected-and-skipped must fail here
-	// too, not be absorbed by a merged delta whose later records happen
-	// to bring its out-of-range endpoints into range. Terms must never
-	// decrease along the stream (the serving log enforces that on its own
-	// records, so a violation here means a broken or lying server).
+	// a one-at-a-time apply would validate it (graph.ValidateApply: known
+	// types, edge endpoints within the node count as of ITS position in
+	// the stream). A primary validates before logging, so its log never
+	// holds a rejected record; one that arrives anyway (a broken or lying
+	// server) must fail here, not be absorbed by a merged delta whose
+	// later records happen to bring its out-of-range endpoints into
+	// range. Terms must never decrease along the stream (the serving log
+	// enforces that on its own records, so a violation here means a
+	// broken or lying server).
 	// The contiguous valid prefix before a gap / undecodable / invalid
 	// record still applies; the divergence error surfaces after.
 	eng := f.Engine()
@@ -470,7 +468,7 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 			diverged = &applyError{fmt.Errorf("replica: record %d: %w", rec.LSN, err)}
 			break
 		}
-		if err := applicable(eng, nodes, rd); err != nil {
+		if err := graph.ValidateApply(eng.Graph().Types(), nodes, rd); err != nil {
 			diverged = &applyError{fmt.Errorf("replica: apply record %d: %w", rec.LSN, err)}
 			break
 		}
@@ -511,15 +509,6 @@ func (f *Follower) pollOnce(ctx context.Context) (int, error) {
 	f.polled.Store(true)
 	f.fenced.Store(false)
 	return applied, nil
-}
-
-// applicable reports whether d would be accepted by a graph currently
-// holding `nodes` nodes — graph.Apply's own acceptance predicate
-// (graph.ValidateApply), evaluated at the record's position in the
-// stream rather than against the merged batch, so a record the primary
-// rejected is never absorbed by coalescing.
-func applicable(eng *semprox.Engine, nodes int, d graph.Delta) error {
-	return graph.ValidateApply(eng.Graph().Types(), nodes, d)
 }
 
 // FollowerStatus is one consistent read of a follower's replication

@@ -46,15 +46,11 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,10 +65,9 @@ import (
 // Request limits re-exported from the wire contract; the api package is
 // the source of truth.
 const (
-	MaxBatch     = api.MaxBatch
-	MaxUpdate    = api.MaxUpdate
-	maxBodyBytes = api.MaxBodyBytes
-	defaultK     = api.DefaultK
+	MaxBatch  = api.MaxBatch
+	MaxUpdate = api.MaxUpdate
+	defaultK  = api.DefaultK
 )
 
 // role is everything about the server that changes when the node's
@@ -156,7 +151,7 @@ func New(eng *semprox.Engine) *Server {
 		s.mux.HandleFunc(path, h)
 		s.mux.HandleFunc(api.LegacyPath(path), h)
 	}
-	s.mux.Handle(metricsPath, obs.Handler(s.reg, obs.Default()))
+	s.mux.Handle(api.MetricsPath, obs.Handler(s.reg, obs.Default()))
 	// The epoch/LSN gauges read through s.engine() so a follower's
 	// re-bootstrap (which swaps engines) and a promotion keep the series
 	// pointed at whatever engine is actually serving.
@@ -170,10 +165,6 @@ func New(eng *semprox.Engine) *Server {
 	return s
 }
 
-// metricsPath serves the Prometheus exposition. Unversioned on purpose:
-// it is operational surface, not part of the /v1 wire contract.
-const metricsPath = "/metrics"
-
 // buildWrap (re)wraps the mux with the obs middleware.
 func (s *Server) buildWrap(logger *slog.Logger, slow time.Duration) {
 	s.wrap = obs.WrapHTTP(s.mux, obs.HTTPOptions{
@@ -182,7 +173,7 @@ func (s *Server) buildWrap(logger *slog.Logger, slow time.Duration) {
 		Component:     "server",
 		Logger:        logger,
 		SlowThreshold: slow,
-		PathLabel:     pathLabel,
+		PathLabel:     api.PathLabel,
 		EpochHeader:   api.HeaderEpoch,
 	})
 }
@@ -194,23 +185,6 @@ func (s *Server) buildWrap(logger *slog.Logger, slow time.Duration) {
 // serving.
 func (s *Server) SetRequestLog(logger *slog.Logger, slow time.Duration) {
 	s.buildWrap(logger, slow)
-}
-
-// knownPaths bounds metric label cardinality: canonical /v1 paths and
-// /metrics keep their names, everything else (typos, scans) collapses.
-var knownPaths = func() map[string]bool {
-	m := map[string]bool{metricsPath: true}
-	for _, p := range api.Paths() {
-		m[p] = true
-	}
-	return m
-}()
-
-func pathLabel(p string) string {
-	if c := api.CanonicalPath(p); knownPaths[c] {
-		return c
-	}
-	return "other"
 }
 
 // AttachWAL makes the server a primary: every accepted update is
@@ -304,53 +278,6 @@ func errInternal(format string, args ...any) *api.Error {
 	return api.Errorf(http.StatusInternalServerError, api.CodeInternal, format, args...)
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the client is gone if this fails
-}
-
-// writeErr writes err as the structured error envelope.
-func writeErr(w http.ResponseWriter, err *api.Error) {
-	writeJSON(w, err.Status, api.ErrorEnvelope{Error: *err})
-}
-
-// methodCheck 405s anything but the allowed methods. The message names
-// the canonical /v1 path whichever alias was hit, keeping legacy and
-// versioned responses byte-identical.
-func methodCheck(w http.ResponseWriter, r *http.Request, allowed ...string) bool {
-	for _, m := range allowed {
-		if r.Method == m {
-			return true
-		}
-	}
-	w.Header().Set("Allow", strings.Join(allowed, ", "))
-	writeErr(w, api.Errorf(http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
-		"method %s not allowed on %s", r.Method, api.CanonicalPath(r.URL.Path)))
-	return false
-}
-
-// decodeStrict decodes one JSON object, rejecting unknown fields, trailing
-// garbage and oversized bodies with client errors.
-func decodeStrict(w http.ResponseWriter, r *http.Request, v any) *api.Error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return errBadRequest("request body exceeds %d bytes", maxBodyBytes)
-		}
-		return errBadRequest("malformed JSON: %v", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return errBadRequest("trailing data after JSON body")
-	}
-	return nil
-}
-
 // resolveClass 404s for classes the serving epoch has not trained.
 func resolveClass(classes []string, class string) *api.Error {
 	if class == "" {
@@ -387,12 +314,12 @@ func setEpochHeader(w http.ResponseWriter, v semprox.View) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !api.CheckMethod(w, r, http.MethodGet) {
 		return
 	}
 	eng := s.engine()
 	g := eng.Graph()
-	writeJSON(w, http.StatusOK, api.HealthResponse{
+	api.WriteJSON(w, http.StatusOK, api.HealthResponse{
 		Status:     "ok",
 		Nodes:      g.NumNodes(),
 		Edges:      g.NumEdges(),
@@ -403,14 +330,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleClasses(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !api.CheckMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, api.ClassesResponse{Classes: s.engine().Classes()})
+	api.WriteJSON(w, http.StatusOK, api.ClassesResponse{Classes: s.engine().Classes()})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet, http.MethodPost) {
+	if !api.CheckMethod(w, r, http.MethodGet, http.MethodPost) {
 		return
 	}
 	var req api.QueryRequest
@@ -420,13 +347,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if kStr := r.URL.Query().Get("k"); kStr != "" {
 			k, err := strconv.Atoi(kStr)
 			if err != nil {
-				writeErr(w, errBadRequest("bad k %q", kStr))
+				api.WriteError(w, errBadRequest("bad k %q", kStr))
 				return
 			}
 			req.K = k
 		}
-	} else if herr := decodeStrict(w, r, &req); herr != nil {
-		writeErr(w, herr)
+	} else if herr := api.DecodeStrict(w, r, &req); herr != nil {
+		api.WriteError(w, herr)
 		return
 	}
 	// k is a client-facing knob: 0 means "the default", and negative
@@ -434,7 +361,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// "k <= 0 returns every candidate" convention — an unbounded response
 	// a client can't ask for by accident.
 	if req.K < 0 {
-		writeErr(w, errBadRequest("k must be >= 0, got %d", req.K))
+		api.WriteError(w, errBadRequest("k must be >= 0, got %d", req.K))
 		return
 	}
 	if req.K == 0 {
@@ -445,18 +372,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// if an update swaps a new epoch in mid-request.
 	v := s.engine().View()
 	if herr := resolveClass(v.Classes(), req.Class); herr != nil {
-		writeErr(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	switch {
 	case req.Query != "" && len(req.Queries) > 0:
-		writeErr(w, errBadRequest("set query or queries, not both"))
+		api.WriteError(w, errBadRequest("set query or queries, not both"))
 	case req.Query != "":
 		querySingle(w, v, req)
 	case len(req.Queries) > 0:
 		queryBatch(w, v, req)
 	default:
-		writeErr(w, errBadRequest("missing query"))
+		api.WriteError(w, errBadRequest("missing query"))
 	}
 }
 
@@ -464,16 +391,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func querySingle(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 	q, herr := resolveNode(v.Graph(), "query", req.Query)
 	if herr != nil {
-		writeErr(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	ranked, err := v.Query(req.Class, q, req.K)
 	if err != nil {
-		writeErr(w, errNotFound(api.CodeClassNotFound, "%v", err))
+		api.WriteError(w, errNotFound(api.CodeClassNotFound, "%v", err))
 		return
 	}
 	setEpochHeader(w, v)
-	writeJSON(w, http.StatusOK, api.QueryResponse{
+	api.WriteJSON(w, http.StatusOK, api.QueryResponse{
 		Class:   req.Class,
 		K:       req.K,
 		Results: []api.QueryResult{render(v.Graph(), req.Query, ranked)},
@@ -484,21 +411,21 @@ func querySingle(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 // QueryBatch call that fans out over the engine's workers.
 func queryBatch(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 	if len(req.Queries) > MaxBatch {
-		writeErr(w, errBadRequest("batch of %d queries exceeds limit %d", len(req.Queries), MaxBatch))
+		api.WriteError(w, errBadRequest("batch of %d queries exceeds limit %d", len(req.Queries), MaxBatch))
 		return
 	}
 	qs := make([]semprox.NodeID, len(req.Queries))
 	for i, name := range req.Queries {
 		q, herr := resolveNode(v.Graph(), fmt.Sprintf("queries[%d]", i), name)
 		if herr != nil {
-			writeErr(w, herr)
+			api.WriteError(w, herr)
 			return
 		}
 		qs[i] = q
 	}
 	rankings, err := v.QueryBatch(req.Class, qs, req.K)
 	if err != nil {
-		writeErr(w, errNotFound(api.CodeClassNotFound, "%v", err))
+		api.WriteError(w, errNotFound(api.CodeClassNotFound, "%v", err))
 		return
 	}
 	out := api.QueryResponse{Class: req.Class, K: req.K, Results: make([]api.QueryResult, len(rankings))}
@@ -506,7 +433,7 @@ func queryBatch(w http.ResponseWriter, v semprox.View, req api.QueryRequest) {
 		out.Results[i] = render(v.Graph(), req.Queries[i], ranked)
 	}
 	setEpochHeader(w, v)
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // render converts one engine ranking to its wire shape.
@@ -519,31 +446,31 @@ func render(g *semprox.Graph, query string, ranked []semprox.Ranked) api.QueryRe
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodPost) {
+	if !api.CheckMethod(w, r, http.MethodPost) {
 		return
 	}
 	rl := s.role.Load()
 	if rl.follower != nil {
-		writeErr(w, errUnavailable(api.CodeNotPrimary,
+		api.WriteError(w, errUnavailable(api.CodeNotPrimary,
 			"this replica is read-only; send updates to the primary at %s", rl.follower.PrimaryURL()))
 		return
 	}
 	var req api.UpdateRequest
-	if herr := decodeStrict(w, r, &req); herr != nil {
-		writeErr(w, herr)
+	if herr := api.DecodeStrict(w, r, &req); herr != nil {
+		api.WriteError(w, herr)
 		return
 	}
 	if len(req.Nodes) == 0 && len(req.Edges) == 0 {
-		writeErr(w, errBadRequest("empty update: add nodes, edges, or both"))
+		api.WriteError(w, errBadRequest("empty update: add nodes, edges, or both"))
 		return
 	}
 	if total := len(req.Nodes) + len(req.Edges); total > MaxUpdate {
-		writeErr(w, errBadRequest("update of %d additions exceeds limit %d", total, MaxUpdate))
+		api.WriteError(w, errBadRequest("update of %d additions exceeds limit %d", total, MaxUpdate))
 		return
 	}
 	st, herr := s.applyUpdate(rl, req)
 	if herr != nil {
-		writeErr(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	// Durability gate, OUTSIDE the lock: the record was enqueued and the
@@ -555,7 +482,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// applied stays visible locally but was never acked.
 	if rl.log != nil {
 		if err := rl.log.WaitDurable(st.LSN); err != nil {
-			writeErr(w, errInternal("update at LSN %d applied but not durable (log failed): %v", st.LSN, err))
+			api.WriteError(w, errInternal("update at LSN %d applied but not durable (log failed): %v", st.LSN, err))
 			return
 		}
 		if rl.primary != nil && s.ackReplicas.Load() > 0 {
@@ -565,7 +492,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			// applied and locally durable, but we cannot claim it's
 			// replicated; 500 tells the client its fate is unknown.
 			if !rl.primary.WaitConfirmed(r.Context(), st.LSN) {
-				writeErr(w, errInternal("update at LSN %d durable locally but not yet confirmed by any replica", st.LSN))
+				api.WriteError(w, errInternal("update at LSN %d durable locally but not yet confirmed by any replica", st.LSN))
 				return
 			}
 		}
@@ -577,7 +504,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			rl.eng.Compact()
 		}()
 	}
-	writeJSON(w, http.StatusOK, api.UpdateResponse{
+	api.WriteJSON(w, http.StatusOK, api.UpdateResponse{
 		Epoch:             st.Epoch,
 		LSN:               st.LSN,
 		NodesAdded:        st.NodesAdded,
@@ -588,9 +515,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyUpdate is the update critical section: resolve the request
-// against the current graph, enqueue the record, apply the delta. It
-// returns with the record IN FLIGHT to disk — the caller must gate the
-// ack on WaitDurable.
+// against the current graph, then validate, enqueue and apply the delta.
+// It returns with the record IN FLIGHT to disk — the caller must gate
+// the ack on WaitDurable.
 func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (semprox.UpdateStats, *api.Error) {
 	var zero semprox.UpdateStats
 	s.updateMu.Lock()
@@ -602,9 +529,6 @@ func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (semprox.UpdateSta
 	for i, n := range req.Nodes {
 		if n.Type == "" || n.Name == "" {
 			return zero, errBadRequest("nodes[%d]: type and name are required", i)
-		}
-		if g.Types().ID(n.Type) == semprox.InvalidType {
-			return zero, errBadRequest("nodes[%d]: unknown type %q (a delta cannot introduce types)", i, n.Type)
 		}
 		d.Nodes[i] = semprox.DeltaNode{Type: n.Type, Value: n.Name}
 		if _, dup := fresh[n.Name]; !dup {
@@ -648,67 +572,43 @@ func (s *Server) applyUpdate(rl *role, req api.UpdateRequest) (semprox.UpdateSta
 		}
 		d.Edges[i] = semprox.Edge{U: u, V: v}
 	}
-	// Log order equals apply order: the delta is enqueued to the log and
-	// applied to the engine inside updateMu. The enqueue assigns the LSN
-	// and starts the record toward disk but does NOT wait for the fsync —
-	// that's the caller's WaitDurable, outside the lock, which is what
-	// lets consecutive updates share one group commit. A crash can
+	// The engine validates the delta, then logs it, then applies it, all
+	// under its writer lock (ApplyUpdateLogged): a rejected delta is a 400
+	// with nothing logged, and log order equals apply order. The append
+	// enqueues the record and assigns its LSN but does NOT wait for the
+	// fsync — that's the caller's WaitDurable, outside updateMu, which is
+	// what lets consecutive updates share one group commit. A crash can
 	// therefore lose an applied-but-unsynced suffix; no ack ever covered
 	// it (WaitDurable gates every ack), and recovery replays exactly the
 	// durable prefix.
-	var st semprox.UpdateStats
-	var err error
-	if rl.log != nil {
-		lsn, aerr := rl.log.AppendAsync(d)
-		if aerr != nil {
-			return zero, errInternal("wal append: %v", aerr)
-		}
-		st, err = eng.ApplyUpdateAt(d, lsn)
+	if rl.log == nil {
+		st, err := eng.ApplyUpdate(d)
 		if err != nil {
-			// The record is logged but the engine rejected it — the
-			// validation above is meant to make this unreachable. Leaving
-			// the log and engine disagreeing would brick the next boot
-			// (replay hits the same record) and wedge followers, so first
-			// make the record itself durable, then record the skip durably
-			// in the log's skip list, then advance the LSN past the dead
-			// record: ApplyUpdateAt is deterministic, so replay reproduces
-			// the recorded skip and re-bootstrapping replicas land beyond
-			// it — every copy stays aligned. (The skip sidecar must never
-			// name a record that isn't on disk, hence the wait first.)
-			log.Printf("server: update logged at LSN %d but rejected by the engine (recording the skip): %v", lsn, err)
-			if derr := rl.log.WaitDurable(lsn); derr != nil {
-				// The record never became durable and the log is poisoned
-				// (readyz now wal_failed); with no durable record there is
-				// no gap to annotate, and the engine never applied it.
-				return zero, errInternal("update rejected at LSN %d and the log failed syncing it: %v (rejection: %v)", lsn, derr, err)
-			}
-			if serr := rl.log.RecordSkip(lsn); serr != nil {
-				// RecordSkip poisons the log on failure: Append now refuses
-				// and readyz reports wal_failed, so the operator learns
-				// immediately that the next boot would refuse to replay past
-				// this record, instead of at that boot.
-				log.Printf("server: recording skip of LSN %d failed, WAL poisoned (readyz now wal_failed): %v", lsn, serr)
-			}
-			eng.AdvanceLSN(lsn)
-			return zero, errInternal("update logged at LSN %d but rejected by the engine: %v", lsn, err)
-		}
-	} else {
-		st, err = eng.ApplyUpdate(d)
-		if err != nil {
-			// Everything client-controlled was validated above; a residual
-			// failure still maps to a 400 with the engine's reason.
 			return zero, errBadRequest("%v", err)
 		}
+		return st, nil
+	}
+	var appendErr error
+	st, err := eng.ApplyUpdateLogged(d, func(d semprox.Delta) (uint64, error) {
+		lsn, err := rl.log.AppendAsync(d)
+		appendErr = err
+		return lsn, err
+	})
+	switch {
+	case appendErr != nil:
+		return zero, errInternal("wal append: %v", appendErr)
+	case err != nil:
+		return zero, errBadRequest("%v", err)
 	}
 	return st, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !api.CheckMethod(w, r, http.MethodGet) {
 		return
 	}
 	st := s.engine().Stats()
-	writeJSON(w, http.StatusOK, api.StatsResponse{
+	api.WriteJSON(w, http.StatusOK, api.StatsResponse{
 		Epoch:             st.Epoch,
 		LSN:               st.LSN,
 		Nodes:             st.Nodes,
@@ -722,7 +622,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !api.CheckMethod(w, r, http.MethodGet) {
 		return
 	}
 	rl := s.role.Load()
@@ -746,7 +646,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			resp.Status = api.StatusCatchingUp
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, resp)
+		api.WriteJSON(w, status, resp)
 		return
 	}
 	role, term := api.RoleStandalone, uint64(0)
@@ -756,21 +656,21 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		// accept no more writes until restart; readiness is how load
 		// balancers find that out.
 		if err := rl.log.Err(); err != nil {
-			writeJSON(w, http.StatusServiceUnavailable,
+			api.WriteJSON(w, http.StatusServiceUnavailable,
 				api.ReadyResponse{Status: api.StatusWALFailed, Role: role, LSN: rl.eng.LSN(), Term: term})
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, api.ReadyResponse{Status: api.StatusReady, Role: role, LSN: rl.eng.LSN(), Term: term})
+	api.WriteJSON(w, http.StatusOK, api.ReadyResponse{Status: api.StatusReady, Role: role, LSN: rl.eng.LSN(), Term: term})
 }
 
 func (s *Server) handleReplicateSince(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !api.CheckMethod(w, r, http.MethodGet) {
 		return
 	}
 	primary := s.role.Load().primary
 	if primary == nil {
-		writeErr(w, errUnavailable(api.CodeReplicationDisabled,
+		api.WriteError(w, errUnavailable(api.CodeReplicationDisabled,
 			"no write-ahead log attached (start with -wal to serve followers)"))
 		return
 	}
@@ -783,19 +683,19 @@ func (s *Server) handleReplicateSince(w http.ResponseWriter, r *http.Request) {
 		case status >= 500:
 			code = api.CodeInternal
 		}
-		writeErr(w, api.Errorf(status, code, "%s", err.Error()))
+		api.WriteError(w, api.Errorf(status, code, "%s", err.Error()))
 		return
 	}
-	writeJSON(w, status, body)
+	api.WriteJSON(w, status, body)
 }
 
 func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet) {
+	if !api.CheckMethod(w, r, http.MethodGet) {
 		return
 	}
 	primary := s.role.Load().primary
 	if primary == nil {
-		writeErr(w, errUnavailable(api.CodeReplicationDisabled,
+		api.WriteError(w, errUnavailable(api.CodeReplicationDisabled,
 			"no write-ahead log attached (start with -wal to serve followers)"))
 		return
 	}
@@ -809,37 +709,37 @@ func (s *Server) handleReplicateSnapshot(w http.ResponseWriter, r *http.Request)
 }
 
 func (s *Server) handleProximity(w http.ResponseWriter, r *http.Request) {
-	if !methodCheck(w, r, http.MethodGet, http.MethodPost) {
+	if !api.CheckMethod(w, r, http.MethodGet, http.MethodPost) {
 		return
 	}
 	var req api.ProximityRequest
 	if r.Method == http.MethodGet {
 		q := r.URL.Query()
 		req.Class, req.X, req.Y = q.Get("class"), q.Get("x"), q.Get("y")
-	} else if herr := decodeStrict(w, r, &req); herr != nil {
-		writeErr(w, herr)
+	} else if herr := api.DecodeStrict(w, r, &req); herr != nil {
+		api.WriteError(w, herr)
 		return
 	}
 	v := s.engine().View()
 	if herr := resolveClass(v.Classes(), req.Class); herr != nil {
-		writeErr(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	x, herr := resolveNode(v.Graph(), "x", req.X)
 	if herr != nil {
-		writeErr(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	y, herr := resolveNode(v.Graph(), "y", req.Y)
 	if herr != nil {
-		writeErr(w, herr)
+		api.WriteError(w, herr)
 		return
 	}
 	p, err := v.Proximity(req.Class, x, y)
 	if err != nil {
-		writeErr(w, errNotFound(api.CodeClassNotFound, "%v", err))
+		api.WriteError(w, errNotFound(api.CodeClassNotFound, "%v", err))
 		return
 	}
 	setEpochHeader(w, v)
-	writeJSON(w, http.StatusOK, api.ProximityResponse{Class: req.Class, X: req.X, Y: req.Y, Proximity: p})
+	api.WriteJSON(w, http.StatusOK, api.ProximityResponse{Class: req.Class, X: req.X, Y: req.Y, Proximity: p})
 }

@@ -14,6 +14,7 @@ import (
 	"repro/api"
 	"repro/internal/fixtures"
 	"repro/internal/mining"
+	"repro/internal/wal"
 )
 
 // trainedServer builds a server over the paper's toy graph with the
@@ -387,36 +388,60 @@ func TestUpdateAddsAndServes(t *testing.T) {
 }
 
 func TestUpdateValidation(t *testing.T) {
-	s, _, _ := trainedServer(t)
-	s.SetAutoCompact(false)
-	wantErr(t, do(t, s, http.MethodPost, "/update", `{}`), http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodPost, "/update",
-		`{"nodes":[{"type":"starship","name":"x"}]}`), http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodPost, "/update",
-		`{"nodes":[{"type":"user"}]}`), http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodPost, "/update",
-		`{"edges":[{"u":"Kate","v":"Nobody Known"}]}`), http.StatusNotFound, "node_not_found")
-	wantErr(t, do(t, s, http.MethodPost, "/update",
-		`{"edges":[{"u":"Kate"}]}`), http.StatusBadRequest, "bad_request")
-	wantErr(t, do(t, s, http.MethodGet, "/update", ""), http.StatusMethodNotAllowed, "method_not_allowed")
-	// Oversized batches are rejected before any resolution work.
-	var sb strings.Builder
-	sb.WriteString(`{"edges":[`)
-	for i := 0; i <= MaxUpdate; i++ {
-		if i > 0 {
-			sb.WriteString(",")
+	for _, withWAL := range []bool{false, true} {
+		var s *Server
+		var w *wal.WAL
+		if withWAL {
+			s, w, _, _ = walServer(t)
+		} else {
+			s, _, _ = trainedServer(t)
 		}
-		sb.WriteString(`{"u":"Kate","v":"Jay"}`)
-	}
-	sb.WriteString(`]}`)
-	wantErr(t, do(t, s, http.MethodPost, "/update", sb.String()), http.StatusBadRequest, "bad_request")
-	// Nothing above may have advanced the epoch.
-	var st api.StatsResponse
-	if err := json.Unmarshal(do(t, s, http.MethodGet, "/stats", "").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Epoch != 0 {
-		t.Fatalf("rejected updates advanced the epoch to %d", st.Epoch)
+		s.SetAutoCompact(false)
+		// A rejected update must leave the log untouched: the engine
+		// validates before anything is logged.
+		nextLSN := func() uint64 {
+			if w == nil {
+				return 0
+			}
+			return w.NextLSN()
+		}
+		startLSN := nextLSN()
+		reject := func(rec *httptest.ResponseRecorder, status int, code string) {
+			t.Helper()
+			wantErr(t, rec, status, code)
+			if got := nextLSN(); got != startLSN {
+				t.Fatalf("wal=%v: rejected update moved the log's next LSN %d -> %d", withWAL, startLSN, got)
+			}
+		}
+		reject(do(t, s, http.MethodPost, "/update", `{}`), http.StatusBadRequest, "bad_request")
+		reject(do(t, s, http.MethodPost, "/update",
+			`{"nodes":[{"type":"starship","name":"x"}]}`), http.StatusBadRequest, "bad_request")
+		reject(do(t, s, http.MethodPost, "/update",
+			`{"nodes":[{"type":"user"}]}`), http.StatusBadRequest, "bad_request")
+		reject(do(t, s, http.MethodPost, "/update",
+			`{"edges":[{"u":"Kate","v":"Nobody Known"}]}`), http.StatusNotFound, "node_not_found")
+		reject(do(t, s, http.MethodPost, "/update",
+			`{"edges":[{"u":"Kate"}]}`), http.StatusBadRequest, "bad_request")
+		reject(do(t, s, http.MethodGet, "/update", ""), http.StatusMethodNotAllowed, "method_not_allowed")
+		// Oversized batches are rejected before any resolution work.
+		var sb strings.Builder
+		sb.WriteString(`{"edges":[`)
+		for i := 0; i <= MaxUpdate; i++ {
+			if i > 0 {
+				sb.WriteString(",")
+			}
+			sb.WriteString(`{"u":"Kate","v":"Jay"}`)
+		}
+		sb.WriteString(`]}`)
+		reject(do(t, s, http.MethodPost, "/update", sb.String()), http.StatusBadRequest, "bad_request")
+		// Nothing above may have advanced the epoch.
+		var st api.StatsResponse
+		if err := json.Unmarshal(do(t, s, http.MethodGet, "/stats", "").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Epoch != 0 || st.LSN != 0 {
+			t.Fatalf("wal=%v: rejected updates advanced the engine to epoch %d, LSN %d", withWAL, st.Epoch, st.LSN)
+		}
 	}
 }
 

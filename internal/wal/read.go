@@ -25,39 +25,37 @@ import (
 // the shape a crash mid-write leaves behind.
 var errTornTail = errors.New("torn record")
 
-// scanSegment reads one segment file, sniffing the wire version from the
-// header magic (legacy records read back as term 1). It returns the byte
-// offset just past the last valid record, that record's LSN (0 if the
-// segment holds none), and the segment's version. In strict mode any
-// invalid byte is an error; otherwise the scan stops at the first torn
-// record (the caller truncates there). A term regressing within the
+// scanSegment reads one segment file. It returns the byte offset just
+// past the last valid record and that record's LSN (0 if the segment
+// holds none). A header whose magic is not segMagic is refused. In
+// strict mode any invalid byte is an error; otherwise the scan stops at
+// the first torn record (the caller truncates there). A term regressing within the
 // segment is an error in BOTH modes: a crash tears bytes, it cannot
 // decrement a varint behind a valid CRC — that shape means mixed or
 // tampered logs, never a recoverable tail. fn, when non-nil, is called
 // for every valid record; a false return stops the scan early
 // (offset/last then describe the scanned prefix).
-func scanSegment(path string, declaredFirst uint64, strict bool, fn func(lsn, term uint64, body []byte) bool) (offset int64, last uint64, version int, err error) {
+func scanSegment(path string, declaredFirst uint64, strict bool, fn func(lsn, term uint64, body []byte) bool) (offset int64, last uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("wal: %w", err)
+		return 0, 0, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, fmt.Errorf("wal: %w", err)
+	}
 	br := bufio.NewReaderSize(f, 1<<16)
 
 	hdr := make([]byte, headerSize)
 	if _, err := io.ReadFull(br, hdr); err != nil {
-		return 0, 0, 0, fmt.Errorf("wal: segment %s: short header: %w", path, err)
+		return 0, 0, fmt.Errorf("wal: segment %s: short header: %w", path, err)
 	}
-	switch string(hdr[:len(segMagic)]) {
-	case segMagicV1:
-		version = 1
-	case segMagic:
-		version = 2
-	default:
-		return 0, 0, 0, fmt.Errorf("wal: segment %s: bad magic", path)
+	if magic := string(hdr[:len(segMagic)]); magic != segMagic {
+		return 0, 0, fmt.Errorf("wal: segment %s: unsupported format %q (this build reads only %q)", path, magic, segMagic)
 	}
 	if got := binary.BigEndian.Uint64(hdr[len(segMagic):]); got != declaredFirst {
-		return 0, 0, 0, fmt.Errorf("wal: segment %s: header LSN %d does not match name", path, got)
+		return 0, 0, fmt.Errorf("wal: segment %s: header LSN %d does not match name", path, got)
 	}
 
 	offset = int64(headerSize)
@@ -65,27 +63,27 @@ func scanSegment(path string, declaredFirst uint64, strict bool, fn func(lsn, te
 	var prevTerm uint64
 	var payload []byte
 	for {
-		lsn, term, body, n, err := readRecord(br, version, &payload)
+		lsn, term, body, n, err := readRecord(br, st.Size()-offset, &payload)
 		if err == io.EOF {
-			return offset, last, version, nil
+			return offset, last, nil
 		}
 		if err != nil {
 			if !strict && errors.Is(err, errTornTail) {
-				return offset, last, version, nil
+				return offset, last, nil
 			}
-			return 0, 0, 0, fmt.Errorf("wal: segment %s: offset %d: %w", path, offset, err)
+			return 0, 0, fmt.Errorf("wal: segment %s: offset %d: %w", path, offset, err)
 		}
 		if lsn != next {
 			if !strict {
-				return offset, last, version, nil
+				return offset, last, nil
 			}
-			return 0, 0, 0, fmt.Errorf("wal: segment %s: offset %d: LSN %d, want %d", path, offset, lsn, next)
+			return 0, 0, fmt.Errorf("wal: segment %s: offset %d: LSN %d, want %d", path, offset, lsn, next)
 		}
 		if term < prevTerm {
-			return 0, 0, 0, fmt.Errorf("wal: segment %s: offset %d: LSN %d term %d regresses from %d", path, offset, lsn, term, prevTerm)
+			return 0, 0, fmt.Errorf("wal: segment %s: offset %d: LSN %d term %d regresses from %d", path, offset, lsn, term, prevTerm)
 		}
 		if fn != nil && !fn(lsn, term, body) {
-			return offset + n, lsn, version, nil
+			return offset + n, lsn, nil
 		}
 		offset += n
 		last = lsn
@@ -96,10 +94,12 @@ func scanSegment(path string, declaredFirst uint64, strict bool, fn func(lsn, te
 
 // readRecord reads one framed record, reusing *payload as scratch. It
 // returns io.EOF at a clean record boundary and errTornTail for a
-// truncated or checksum-failing record. Legacy (version 1) payloads
-// carry no term varint and read back as term 1. The returned body
-// aliases the scratch buffer and is only valid until the next call.
-func readRecord(br *bufio.Reader, version int, payload *[]byte) (lsn, term uint64, body []byte, size int64, err error) {
+// truncated or checksum-failing record. left is the number of segment
+// bytes from the frame on: a length claiming more than that is torn,
+// so a garbage length never allocates beyond the file's own size. The
+// returned body aliases the scratch buffer and is only valid until the
+// next call.
+func readRecord(br *bufio.Reader, left int64, payload *[]byte) (lsn, term uint64, body []byte, size int64, err error) {
 	var frame [frameSize]byte
 	if _, err := io.ReadFull(br, frame[:]); err != nil {
 		if err == io.EOF {
@@ -110,6 +110,9 @@ func readRecord(br *bufio.Reader, version int, payload *[]byte) (lsn, term uint6
 	length := binary.BigEndian.Uint32(frame[0:4])
 	if length == 0 || length > MaxRecordBytes {
 		return 0, 0, nil, 0, fmt.Errorf("%w: implausible record length %d", errTornTail, length)
+	}
+	if int64(length) > left-frameSize {
+		return 0, 0, nil, 0, fmt.Errorf("%w: record length %d exceeds the %d bytes left in the segment", errTornTail, length, left-frameSize)
 	}
 	if cap(*payload) < int(length) {
 		*payload = make([]byte, length)
@@ -126,16 +129,11 @@ func readRecord(br *bufio.Reader, version int, payload *[]byte) (lsn, term uint6
 		return 0, 0, nil, 0, fmt.Errorf("%w: bad LSN varint", errTornTail)
 	}
 	buf = buf[n:]
-	term = 1
-	if version >= 2 {
-		var tn int
-		term, tn = binary.Uvarint(buf)
-		if tn <= 0 || term == 0 {
-			return 0, 0, nil, 0, fmt.Errorf("%w: bad term varint", errTornTail)
-		}
-		buf = buf[tn:]
+	term, tn := binary.Uvarint(buf)
+	if tn <= 0 || term == 0 {
+		return 0, 0, nil, 0, fmt.Errorf("%w: bad term varint", errTornTail)
 	}
-	return lsn, term, buf, frameSize + int64(length), nil
+	return lsn, term, buf[tn:], frameSize + int64(length), nil
 }
 
 // Replay streams every durable record with LSN > afterLSN, in order,
@@ -175,7 +173,7 @@ func (w *WAL) replayRaw(afterLSN, durable uint64, fn func(lsn, term uint64, body
 		// the durable bound, which the lsn > durable check below stops at
 		// anyway.
 		strict := i < len(segs)-1
-		_, last, _, err := scanSegment(s.path, s.first, strict, func(lsn, term uint64, body []byte) bool {
+		_, last, err := scanSegment(s.path, s.first, strict, func(lsn, term uint64, body []byte) bool {
 			if lsn <= afterLSN {
 				return true
 			}

@@ -146,69 +146,29 @@ func TestOpenRejectsTermRegressionInLog(t *testing.T) {
 	}
 }
 
-// TestLegacyV1SegmentReadsAsTermOne: a log written by the term-less v1
-// format reopens in place — its records read back as term 1, the legacy
-// active segment is sealed, and new records land in a fresh v2 segment.
-func TestLegacyV1SegmentReadsAsTermOne(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal-0000000000000001.seg")
-	var buf []byte
-	buf = append(buf, segMagicV1...)
-	buf = binary.BigEndian.AppendUint64(buf, 1)
-	for i := 0; i < 3; i++ {
-		payload := binary.AppendUvarint(nil, uint64(i+1)) // v1: no term varint
-		payload = append(payload, graph.EncodeDelta(delta(i))...)
+// TestOpenRefusesOtherSegmentFormats: a segment whose magic is not the
+// current format's — the term-less v1 layout (same header shape, version
+// digit 1, no term varint in its payloads) or anything else — is refused
+// at Open by name, never misread as current-format records.
+func TestOpenRefusesOtherSegmentFormats(t *testing.T) {
+	v1 := segMagic[:len(segMagic)-1] + "1"
+	for _, magic := range []string{v1, "NOTAWAL!"} {
+		dir := t.TempDir()
+		var buf []byte
+		buf = append(buf, magic...)
+		buf = binary.BigEndian.AppendUint64(buf, 1)
+		payload := binary.AppendUvarint(nil, 1)
+		payload = append(payload, graph.EncodeDelta(delta(0))...)
 		var frame [frameSize]byte
 		binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
 		binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
 		buf = append(append(buf, frame[:]...), payload...)
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	w, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("legacy log rejected: %v", err)
-	}
-	if got := w.DurableLSN(); got != 3 {
-		t.Fatalf("durable = %d, want 3", got)
-	}
-	if got := w.Term(); got != 1 {
-		t.Fatalf("term = %d, want 1", got)
-	}
-	for _, r := range collect(t, w, 0) {
-		if r.Term != 1 {
-			t.Fatalf("legacy record %d read back at term %d, want 1", r.LSN, r.Term)
+		if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.seg"), buf, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Appends continue past the sealed legacy segment in a new v2 one;
-	// promotion (SetTerm) works on the upgraded log.
-	if n := w.SegmentCount(); n != 2 {
-		t.Fatalf("segments = %d, want 2 (sealed v1 + fresh v2)", n)
-	}
-	appendN(t, w, 1, 4)
-	if err := w.SetTerm(2); err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, w, 1, 5)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	w2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	recs := collect(t, w2, 0)
-	wantTerms := []uint64{1, 1, 1, 1, 2}
-	if len(recs) != len(wantTerms) {
-		t.Fatalf("replayed %d records, want %d", len(recs), len(wantTerms))
-	}
-	for i, r := range recs {
-		if r.Term != wantTerms[i] {
-			t.Fatalf("record %d: term %d, want %d", r.LSN, r.Term, wantTerms[i])
+		_, err := Open(dir, Options{})
+		if err == nil || !strings.Contains(err.Error(), "unsupported format") {
+			t.Fatalf("magic %q: Open err = %v, want unsupported format", magic, err)
 		}
 	}
 }

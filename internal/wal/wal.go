@@ -13,13 +13,9 @@
 //	uint32 length | uint32 CRC32-C of payload | payload
 //	payload = uvarint LSN ++ uvarint term ++ graph.AppendDelta encoding
 //
-// Two wire versions coexist, distinguished by the header magic. The
-// current format ("SPXWAL02") carries a term (promotion epoch) varint in
-// every payload; the legacy format ("SPXWAL01") has no term and its
-// records read back as term 1 — the term every log starts at. A legacy
-// log reopened by this version keeps its old segments readable in place,
-// seals the legacy active segment, and appends new records to a fresh
-// current-format segment: formats never mix within one segment.
+// The header magic ("SPXWAL02") names the one wire format this package
+// reads and writes; a segment with any other magic is refused at Open.
+// The term (promotion epoch) varint rides in every payload.
 //
 // LSNs (log sequence numbers) are assigned contiguously from 1 (or
 // Options.BaseLSN+1), one per appended delta, and match the engine's LSN
@@ -30,9 +26,8 @@
 // term regression on read is corruption (or a zombie's writes) and fails
 // the scan. The current term survives restarts in a sidecar file
 // ("term"), written and fsynced atomically BEFORE any record carries the
-// new term. A second sidecar ("skipped", one decimal LSN per line)
-// durably records the rare record that was appended but then rejected by
-// the engine and intentionally skipped — see RecordSkip.
+// new term. The log holds only records the engine accepts: a primary
+// validates each delta before appending it (semprox.Engine.ApplyUpdateLogged).
 //
 // Durability: appends batch fsyncs through a two-stage pipeline — a
 // writer goroutine drains encoded records and issues the write() while a
@@ -69,8 +64,6 @@ import (
 )
 
 const (
-	// segMagicV1 opens legacy (term-less) segment files.
-	segMagicV1 = "SPXWAL01"
 	// segMagic opens every current-format segment file.
 	segMagic = "SPXWAL02"
 	// headerSize is the segment header: magic plus the first LSN.
@@ -114,10 +107,9 @@ type Record struct {
 
 // segment tracks one on-disk segment file.
 type segment struct {
-	path    string
-	first   uint64 // first LSN the segment stores (header-declared)
-	last    uint64 // last LSN written, 0 while empty
-	version int    // wire version from the header magic (1 legacy, 2 current)
+	path  string
+	first uint64 // first LSN the segment stores (header-declared)
+	last  uint64 // last LSN written, 0 while empty
 }
 
 // syncReq asks the syncer goroutine for one fsync of f. last, when
@@ -168,11 +160,6 @@ type WAL struct {
 	tail      []tailRec
 	tailBytes int
 
-	// skips holds the LSNs of records that were appended but then
-	// rejected by the engine and intentionally skipped (RecordSkip) —
-	// loaded from the sidecar skip-list file at Open.
-	skips map[uint64]bool
-
 	// writing marks an active commit leader: the one goroutine currently
 	// allowed to drain pending and issue the write(). Leadership is
 	// transient — an appender that finds no leader becomes one for a
@@ -184,10 +171,6 @@ type WAL struct {
 	flusherDone chan struct{}
 	syncerDone  chan struct{}
 }
-
-// skipsFile names the sidecar in the log directory that durably records
-// skipped LSNs, one decimal number per line.
-const skipsFile = "skipped"
 
 // termFile names the sidecar that persists the current term as one
 // decimal number. Written atomically (and fsynced) BEFORE any record is
@@ -233,39 +216,15 @@ func Open(dir string, opts Options) (*WAL, error) {
 	if err := w.loadTerm(); err != nil {
 		return nil, err
 	}
-	if err := w.loadSkips(); err != nil {
-		return nil, err
-	}
 	w.registerGauges()
 	go w.flusherLoop()
 	go w.syncerLoop()
 	return w, nil
 }
 
-// loadSkips reads the sidecar skip list (missing file = no skips).
-func (w *WAL) loadSkips() error {
-	data, err := os.ReadFile(filepath.Join(w.dir, skipsFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	w.skips = make(map[uint64]bool)
-	for _, field := range strings.Fields(string(data)) {
-		n, err := strconv.ParseUint(field, 10, 64)
-		if err != nil {
-			return fmt.Errorf("wal: skip list: bad entry %q", field)
-		}
-		w.skips[n] = true
-	}
-	return nil
-}
-
 // loadTerm restores the current term from its sidecar. A missing file —
-// a fresh log, or one written before terms existed — starts at the term
-// of the newest record (1 when the log is empty, matching how legacy
-// records read back). A sidecar BEHIND the newest record's term breaks
+// a log never promoted — starts at the term of the newest record (1,
+// the term every log starts at, when the log is empty). A sidecar BEHIND the newest record's term breaks
 // the write-sidecar-first invariant and can only mean mispaired files,
 // so it is an error, not something to repair silently.
 func (w *WAL) loadTerm() error {
@@ -346,71 +305,6 @@ func (w *WAL) setTermLocked(t uint64) error {
 	return nil
 }
 
-// RecordSkip durably notes that the record at lsn was appended but then
-// rejected by the engine and intentionally skipped — the "record the
-// gap" half of the skip protocol. Replay (semprox.ReplayWAL) reproduces
-// a rejection of a RECORDED LSN as the primary's own skip; a rejection
-// of an unrecorded LSN stays a hard error, the guard against replaying
-// a log directory that does not belong to the booted snapshot. The note
-// is fsynced before RecordSkip returns.
-//
-// The whole list is rewritten atomically (atomicfile: temp + fsync +
-// rename) rather than appended in place: a crash mid-append could leave
-// a torn entry with no delimiter, and the next append would concatenate
-// onto it ("1" + "20\n" parses as LSN 120) — a wrong LSN recorded as
-// skippable while the real one stays a boot-wedging hard error. Skips
-// are rare enough that rewriting the tiny file costs nothing.
-//
-// A RecordSkip failure poisons the log (Err turns non-nil, Append
-// refuses, a primary's /readyz flips to wal_failed): the log now holds a
-// durable record whose skip is NOT durably recorded, so continuing to
-// serve would re-arm the boot-wedging state the skip protocol exists to
-// remove — the operator must see it now, not at the next boot.
-func (w *WAL) RecordSkip(lsn uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.skips[lsn] {
-		return nil
-	}
-	if w.err != nil {
-		// Never rewrite the sidecar from a map that may be behind the disk
-		// state a partially-failed rewrite left (rename committed, dir
-		// sync failed): that could erase a durably recorded skip.
-		return w.err
-	}
-	lsns := make([]uint64, 0, len(w.skips)+1)
-	for s := range w.skips {
-		lsns = append(lsns, s)
-	}
-	lsns = append(lsns, lsn)
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] < lsns[j] })
-	var sb strings.Builder
-	for _, s := range lsns {
-		fmt.Fprintf(&sb, "%d\n", s)
-	}
-	if err := atomicfile.Write(filepath.Join(w.dir, skipsFile), []byte(sb.String())); err != nil {
-		w.err = fmt.Errorf("wal: skip list write failed, log poisoned (a durable record's skip is not durably recorded): %w", err)
-		// Blocked appenders and WaitSince pollers must observe the sticky
-		// error now: an appender whose batch the writer has not yet picked
-		// up would otherwise wait forever, because the loops' error-exit
-		// paths return without another broadcast.
-		w.wakeAll()
-		return w.err
-	}
-	if w.skips == nil {
-		w.skips = make(map[uint64]bool)
-	}
-	w.skips[lsn] = true
-	return nil
-}
-
-// Skipped reports whether lsn is in the durable skip list.
-func (w *WAL) Skipped(lsn uint64) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.skips[lsn]
-}
-
 // segmentPath names the segment whose first record is lsn.
 func (w *WAL) segmentPath(lsn uint64) string {
 	return filepath.Join(w.dir, fmt.Sprintf("wal-%016x.seg", lsn))
@@ -433,10 +327,7 @@ func parseSegmentName(name string) (uint64, bool) {
 }
 
 // recover scans the directory, validates every segment, truncates a torn
-// tail, and positions the log for appending. A legacy-format final
-// segment is sealed (its torn tail still truncated) and a fresh
-// current-format segment opened after it, so new records never extend a
-// legacy file.
+// tail, and positions the log for appending.
 func (w *WAL) recover() error {
 	entries, err := os.ReadDir(w.dir)
 	if err != nil {
@@ -490,7 +381,7 @@ func (w *WAL) recover() error {
 		}
 		final := i == len(w.segments)-1
 		var firstTerm, segLastTerm uint64
-		size, last, version, err := scanSegment(seg.path, seg.first, !final, func(lsn, term uint64, body []byte) bool {
+		size, last, err := scanSegment(seg.path, seg.first, !final, func(lsn, term uint64, body []byte) bool {
 			if firstTerm == 0 {
 				firstTerm = term
 			}
@@ -510,11 +401,9 @@ func (w *WAL) recover() error {
 			prevSegTerm = segLastTerm
 		}
 		seg.last = last
-		seg.version = version
 		if final {
 			// Truncate a torn tail (no-op when the scan consumed the whole
-			// file). Current-format segments reopen for appending; a legacy
-			// final segment is sealed here and a fresh segment created below.
+			// file) and reopen the segment for appending.
 			f, err := os.OpenFile(seg.path, os.O_RDWR, 0o644)
 			if err != nil {
 				return fmt.Errorf("wal: %w", err)
@@ -532,16 +421,12 @@ func (w *WAL) recover() error {
 					return fmt.Errorf("wal: %w", err)
 				}
 			}
-			if version == 2 {
-				if _, err := f.Seek(size, 0); err != nil {
-					f.Close()
-					return fmt.Errorf("wal: %w", err)
-				}
-				w.active = f
-				w.activeSize = size
-			} else if err := f.Close(); err != nil {
+			if _, err := f.Seek(size, 0); err != nil {
+				f.Close()
 				return fmt.Errorf("wal: %w", err)
 			}
+			w.active = f
+			w.activeSize = size
 		}
 		if last > 0 {
 			expect = last + 1
@@ -553,35 +438,6 @@ func (w *WAL) recover() error {
 	w.next = expect
 	w.durable = expect - 1
 	w.lastTerm = prevSegTerm
-
-	if w.segments[len(w.segments)-1].version != 2 {
-		// Legacy active segment, now sealed. If it holds no records its
-		// name collides with the fresh segment's (same first LSN): drop
-		// it — an empty legacy tail is pure header, not data.
-		if tail := &w.segments[len(w.segments)-1]; tail.last == 0 && tail.first == expect {
-			if err := os.Remove(tail.path); err != nil {
-				return fmt.Errorf("wal: drop empty legacy segment: %w", err)
-			}
-			if err := syncDir(w.dir); err != nil {
-				return err
-			}
-			w.segments = w.segments[:len(w.segments)-1]
-		}
-		if len(w.segments) == 0 {
-			return w.openFresh(expect)
-		}
-		f, size, err := createSegment(w.segmentPath(expect), expect, w.opts.Inject)
-		if err != nil {
-			return err
-		}
-		if err := syncDir(w.dir); err != nil {
-			f.Close()
-			return err
-		}
-		w.active = f
-		w.activeSize = size
-		w.segments = append(w.segments, segment{path: f.Name(), first: expect, version: 2})
-	}
 	return nil
 }
 
@@ -597,7 +453,7 @@ func (w *WAL) openFresh(first uint64) error {
 	}
 	w.active = f
 	w.activeSize = size
-	w.segments = []segment{{path: f.Name(), first: first, version: 2}}
+	w.segments = []segment{{path: f.Name(), first: first}}
 	w.next = first
 	w.durable = first - 1
 	return nil
@@ -1030,7 +886,7 @@ func (w *WAL) rotate(firstLSN uint64) error {
 	w.mu.Lock()
 	w.active = f
 	w.activeSize = size
-	w.segments = append(w.segments, segment{path: f.Name(), first: firstLSN, version: 2})
+	w.segments = append(w.segments, segment{path: f.Name(), first: firstLSN})
 	w.mu.Unlock()
 	return nil
 }

@@ -2,16 +2,16 @@ package semprox
 
 import (
 	"fmt"
-	"log"
 
 	"repro/internal/wal"
 )
 
 // Crash recovery. A write-ahead-logged deployment (semproxd -wal) makes
-// every applied update durable before serving it: the delta is appended
-// and fsynced to the log, then applied at the LSN the log assigned. On a
-// crash — no clean shutdown, overlays uncompacted, snapshot arbitrarily
-// stale — recovery is: load the newest snapshot (LSN L), open the WAL
+// every acknowledged update durable: the delta is validated, appended to
+// the log, and applied at the LSN the log assigned, and the ack waits
+// for the fsync (Engine.ApplyUpdateLogged). On a crash — no clean
+// shutdown, overlays uncompacted, snapshot arbitrarily stale — recovery
+// is: load the newest snapshot (LSN L), open the WAL
 // (which heals any torn tail), and ReplayWAL the records with LSN > L.
 // The recovered engine is byte-identical to one that never crashed
 // (property-tested in recovery_test.go), because ApplyUpdateAt is
@@ -19,50 +19,37 @@ import (
 // misses.
 
 // ReplayWAL applies every logged record beyond the engine's current LSN,
-// in order, and returns how many it applied and how many it skipped.
-// Records at or below the engine's LSN are already part of its state
-// (the snapshot covered them) and count toward neither.
+// in order, and returns how many it applied. Records at or below the
+// engine's LSN are already part of its state (the snapshot covered
+// them) and are not counted.
 //
-// A record the engine rejects is handled by the log's durable skip
-// list (wal.RecordSkip): a primary that ever had an append rejected
-// post-durability recorded the LSN before advancing past it, so replay
-// distinguishes the two possible causes of a rejection. A rejected
-// record that IS in the skip list reproduces the primary's own skip —
-// ApplyUpdateAt is deterministic, so advancing past it
-// (Engine.AdvanceLSN) lands on exactly the state the primary served —
-// and counts toward skipped. A rejected record that is NOT in the skip
-// list means the log and the snapshot disagree about the graph (most
-// plausibly a -wal directory paired with the wrong snapshot, since
-// byte-level corruption is already caught by the WAL's CRC framing) and
-// aborts the replay: that is corruption, not something to paper over.
+// A primary validates every delta before logging it
+// (Engine.ApplyUpdateLogged), so the log never holds a record the engine
+// rejects. A rejected record therefore means the log and the snapshot
+// disagree about the graph (most plausibly a -wal directory paired with
+// the wrong snapshot, since byte-level corruption is already caught by
+// the WAL's CRC framing) and aborts the replay.
 //
 // ReplayWAL fails up front on either misalignment between log and
 // engine: a log missing records the engine needs (its first retained LSN
 // is beyond engine LSN + 1 — the snapshot predates the log's truncation
 // horizon), or a log that ends BEHIND the engine (a stale WAL directory
 // paired with a newer snapshot) — serving in that state would assign
-// future appends LSNs the engine rejects, durably logging records that
-// never apply.
-func ReplayWAL(e *Engine, w *wal.WAL) (applied, skipped int, err error) {
+// future appends LSNs at or below the engine's.
+func ReplayWAL(e *Engine, w *wal.WAL) (applied int, err error) {
 	at := e.LSN()
 	if first := w.FirstLSN(); first > at+1 {
-		return 0, 0, fmt.Errorf("semprox: wal starts at LSN %d but engine is at %d: snapshot predates log truncation", first, at)
+		return 0, fmt.Errorf("semprox: wal starts at LSN %d but engine is at %d: snapshot predates log truncation", first, at)
 	}
 	if next := w.NextLSN(); next <= at {
-		return 0, 0, fmt.Errorf("semprox: wal ends at LSN %d but engine is at %d: stale log directory for this snapshot", next-1, at)
+		return 0, fmt.Errorf("semprox: wal ends at LSN %d but engine is at %d: stale log directory for this snapshot", next-1, at)
 	}
 	err = w.Replay(at, func(r wal.Record) error {
-		if _, aerr := e.ApplyUpdateAt(r.Delta, r.LSN); aerr != nil {
-			if !w.Skipped(r.LSN) {
-				return fmt.Errorf("semprox: replay LSN %d: record rejected and not in the log's skip list — the log and the snapshot disagree about the graph (mispaired -wal directory?): %w", r.LSN, aerr)
-			}
-			log.Printf("semprox: replay LSN %d: reproducing the primary's recorded skip (record was rejected: %v)", r.LSN, aerr)
-			e.AdvanceLSN(r.LSN)
-			skipped++
-			return nil
+		if _, err := e.ApplyUpdateAt(r.Delta, r.LSN); err != nil {
+			return fmt.Errorf("semprox: replay LSN %d: record rejected — the log and the snapshot disagree about the graph (mispaired -wal directory?): %w", r.LSN, err)
 		}
 		applied++
 		return nil
 	})
-	return applied, skipped, err
+	return applied, err
 }

@@ -104,12 +104,12 @@ func TestCrashRecoveryEqualsUninterrupted(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w2.Close()
-			applied, skipped, err := ReplayWAL(rec, w2)
+			applied, err := ReplayWAL(rec, w2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if applied != N-snapAt || skipped != 0 {
-				t.Fatalf("replayed %d records (skipped %d), want %d (0)", applied, skipped, N-snapAt)
+			if applied != N-snapAt {
+				t.Fatalf("replayed %d records, want %d", applied, N-snapAt)
 			}
 			if rec.LSN() != eng.LSN() || rec.Epoch() != eng.Epoch() {
 				t.Fatalf("recovered at LSN %d epoch %d, primary at LSN %d epoch %d",
@@ -193,118 +193,16 @@ func TestReplayWALRejectsTruncatedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReplayWAL(old, w); err == nil {
+	if _, err := ReplayWAL(old, w); err == nil {
 		t.Fatal("replaying a truncated log over a too-old snapshot succeeded")
 	}
 }
 
-// TestReplayWALSkipsRejectedRecord: a logged record the engine rejects
-// (durable but never applied — the primary alarms, records the skip in
-// the log's skip list, and advances past it via AdvanceLSN) must not
-// brick recovery. Replay reproduces the recorded skip exactly as the
-// primary made it, applies everything around it, and the recovered
-// engine matches the primary byte-for-byte. An unrecorded rejection, by
-// contrast, must abort replay — that is the mispaired-directory guard.
-func TestReplayWALSkipsRejectedRecord(t *testing.T) {
-	eng, g := toyEngine(t)
-	eng.Train("classmate", classmateExamples(g))
-	var snap bytes.Buffer
-	if err := eng.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	good1 := Delta{Nodes: []DeltaNode{{Type: "user", Value: "Zoe"}}}
-	bad := Delta{Nodes: []DeltaNode{{Type: "nosuchtype", Value: "ghost"}}}
-	good2 := Delta{Nodes: []DeltaNode{{Type: "user", Value: "Max"}}}
-
-	// The primary's write path, including the rejected-after-append case:
-	// the bad record is durable, the engine refuses it, and the primary
-	// records the skip durably before advancing its LSN past the record.
-	for _, d := range []Delta{good1, bad, good2} {
-		lsn, err := w.Append(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.ApplyUpdateAt(d, lsn); err != nil {
-			if err := w.RecordSkip(lsn); err != nil {
-				t.Fatal(err)
-			}
-			eng.AdvanceLSN(lsn)
-		}
-	}
-	if eng.LSN() != 3 {
-		t.Fatalf("primary LSN = %d, want 3", eng.LSN())
-	}
-	if eng.Graph().NodeByName("ghost") != InvalidNode {
-		t.Fatal("rejected delta reached the primary's graph")
-	}
-	// AdvanceLSN never regresses.
-	eng.AdvanceLSN(2)
-	if eng.LSN() != 3 {
-		t.Fatalf("AdvanceLSN(2) regressed LSN to %d", eng.LSN())
-	}
-
-	// Crash: reopen the log from disk — the skip list must survive the
-	// restart, or the reboot below would refuse the record.
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w, err = wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if !w.Skipped(2) || w.Skipped(1) || w.Skipped(3) {
-		t.Fatalf("reloaded skip list wrong: skipped(1,2,3) = %v,%v,%v",
-			w.Skipped(1), w.Skipped(2), w.Skipped(3))
-	}
-
-	// Recovery from the pre-update snapshot replays the whole log and
-	// lands on the primary's state, skipped record and all.
-	rec, err := LoadEngine(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied, skipped, err := ReplayWAL(rec, w)
-	if err != nil {
-		t.Fatalf("replay over a recorded skip failed: %v", err)
-	}
-	if applied != 2 || skipped != 1 {
-		t.Fatalf("replayed %d records, skipped %d, want 2 applied 1 skipped", applied, skipped)
-	}
-	if rec.LSN() != 3 {
-		t.Fatalf("recovered LSN = %d, want 3", rec.LSN())
-	}
-	if rec.Graph().NodeByName("ghost") != InvalidNode {
-		t.Fatal("rejected record applied during replay")
-	}
-	if rec.Graph().NodeByName("Zoe") == InvalidNode || rec.Graph().NodeByName("Max") == InvalidNode {
-		t.Fatal("valid records lost during replay")
-	}
-	eng.Compact()
-	rec.Compact()
-	var b1, b2 bytes.Buffer
-	if err := eng.Save(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Save(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("recovered engine differs from the primary that skipped the record")
-	}
-}
-
-// TestReplayWALRejectsUnrecordedRejection: a logged record the engine
-// rejects that is NOT in the skip list means the log does not belong to
-// the snapshot — replay must abort instead of silently diverging.
-func TestReplayWALRejectsUnrecordedRejection(t *testing.T) {
+// TestReplayWALRefusesRejectedRecord: a primary never logs a delta the
+// engine rejects, so a logged record the engine rejects means the log
+// does not belong to the snapshot (a mispaired -wal directory) — replay
+// must abort instead of silently diverging.
+func TestReplayWALRefusesRejectedRecord(t *testing.T) {
 	eng, g := toyEngine(t)
 	eng.Train("classmate", classmateExamples(g))
 
@@ -320,8 +218,8 @@ func TestReplayWALRejectsUnrecordedRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := ReplayWAL(eng, w); err == nil {
-		t.Fatal("replaying an unrecorded rejected record succeeded")
+	if _, err := ReplayWAL(eng, w); err == nil {
+		t.Fatal("replaying a rejected record succeeded")
 	}
 	// The valid prefix applied before the abort; nothing from the
 	// rejected record leaked in.

@@ -56,8 +56,8 @@ type snapClass struct {
 // snapshot is the gob wire format of a saved engine.
 type snapshot struct {
 	Version    int
-	Epoch      uint64 // serving epoch counter (v2+; zero for v1 streams)
-	LSN        uint64 // durable log position (v3+; see loadLSN for v1/v2)
+	Epoch      uint64 // serving epoch counter
+	LSN        uint64 // durable log position
 	Graph      []byte // graph.Write text format
 	AnchorType string
 	Opts       Options
@@ -66,19 +66,9 @@ type snapshot struct {
 	Classes    []snapClass
 }
 
-// snapshotVersion is the current wire version. Version 1 (pre-live-update,
-// no epoch counter) still loads, resuming at epoch 0; version 2 (epoch but
-// no LSN) loads with the LSN anchored to the epoch counter, which is what
-// the LSN of a WAL-less engine would have been.
+// snapshotVersion is the wire version Save writes and the only one
+// LoadEngine reads.
 const snapshotVersion = 3
-
-// loadLSN maps a decoded snapshot to the engine LSN it represents.
-func loadLSN(s *snapshot) uint64 {
-	if s.Version >= 3 {
-		return s.LSN
-	}
-	return s.Epoch
-}
 
 // Save serializes the engine so LoadEngine can restore it without mining,
 // matching or training. Classes are written in sorted name order and every
@@ -171,8 +161,8 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("semprox: snapshot decode: %w", err)
 	}
-	if s.Version < 1 || s.Version > snapshotVersion {
-		return nil, fmt.Errorf("semprox: unsupported snapshot version %d", s.Version)
+	if s.Version != snapshotVersion {
+		return nil, fmt.Errorf("semprox: unsupported snapshot version %d (this build reads only version %d)", s.Version, snapshotVersion)
 	}
 	g, err := graph.Read(bytes.NewReader(s.Graph))
 	if err != nil {
@@ -203,7 +193,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		metaIx:  make([]*index.Index, len(e.ms)),
 		classes: make(map[string]*classModel, len(s.Classes)),
 		version: s.Epoch,
-		lsn:     loadLSN(&s),
+		lsn:     s.LSN,
 	}
 	for _, p := range s.Parts {
 		if p.Slot < 0 || p.Slot >= len(e.ms) {

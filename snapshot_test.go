@@ -2,6 +2,8 @@ package semprox
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 
 	"repro/internal/fixtures"
@@ -176,6 +178,21 @@ func TestSnapshotRejectsCorruptInput(t *testing.T) {
 	}
 	if _, err := LoadEngine(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+	// Any other wire version is refused by name, never misread.
+	for _, v := range []int{1, 2, snapshotVersion + 1} {
+		var s snapshot
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		s.Version = v
+		var other bytes.Buffer
+		if err := gob.NewEncoder(&other).Encode(&s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadEngine(&other); err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
+			t.Fatalf("version %d snapshot: err = %v, want unsupported version", v, err)
+		}
 	}
 }
 

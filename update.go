@@ -75,13 +75,12 @@ func (e *Engine) ApplyUpdate(d Delta) (UpdateStats, error) {
 }
 
 // ApplyUpdateAt is ApplyUpdate with an explicit log sequence number: the
-// next epoch records lsn as its durable position. This is how the WAL
-// threads through the engine — a primary appends the delta to its log
-// first and applies it at the LSN the log assigned; recovery and follower
-// replicas re-apply logged records at their original LSNs, so the
-// recovered (or replicated) engine ends at exactly the primary's
-// position. lsn must exceed the engine's current LSN (records at or
-// below it are already part of this engine's state; callers skip them).
+// next epoch records lsn as its durable position. Recovery and follower
+// replicas re-apply logged records at their original LSNs through it, so
+// the recovered (or replicated) engine ends at exactly the primary's
+// position (a primary logs through ApplyUpdateLogged). lsn must exceed
+// the engine's current LSN (records at or below it are already part of
+// this engine's state; callers skip them).
 func (e *Engine) ApplyUpdateAt(d Delta, lsn uint64) (UpdateStats, error) {
 	if lsn == 0 {
 		return UpdateStats{}, fmt.Errorf("semprox: ApplyUpdateAt: LSN must be positive")
@@ -115,24 +114,40 @@ func (e *Engine) ApplyUpdateBatchAt(d Delta, lsn uint64, records int) (UpdateSta
 	return e.applyUpdate(d, lsn, records)
 }
 
-// AdvanceLSN records that the durable log positions through lsn are
-// accounted for without changing any serving state. It exists for one
-// case: a logged record the engine rejected AFTER it became durable
-// (wal.Append succeeded, ApplyUpdateAt failed). ApplyUpdateAt is
-// deterministic, so crash replay and followers reject that record
-// identically; advancing the LSN past it keeps the engine, its log, and
-// its replicas aligned on the same skipped position — the primary's
-// next snapshot covers the dead record, ReplayWAL does not wedge on it,
-// and a re-bootstrapping follower lands beyond it. No-op when lsn is at
-// or below the engine's current LSN. Safe for concurrent use.
-func (e *Engine) AdvanceLSN(lsn uint64) {
+// ApplyUpdateLogged is the write path of a write-ahead-logged primary:
+// validate, log, apply, in that order and as one step under the writer
+// lock. d is validated first (graph.Apply, whose only failure is
+// graph.ValidateApply's); a rejected delta returns its error with
+// appendLog never called, so the log never holds a record the engine
+// rejects. appendLog then sequences the accepted delta and returns the
+// LSN it assigned; its error is returned as is, with nothing published.
+// Re-matching and the epoch swap follow and cannot fail, so a caller
+// whose appendLog only enqueues the record (wal.AppendAsync) overlaps
+// the fsync with re-matching and gates its ack on durability
+// separately.
+//
+// appendLog runs under the engine's writer lock, which is what makes
+// log order equal apply order; it must not call back into the engine's
+// writers. An assigned LSN at or below the engine's LSN means the log
+// and engine were paired misaligned, a state ReplayWAL and the
+// server's Promote refuse before writes are accepted, so it panics.
+func (e *Engine) ApplyUpdateLogged(d Delta, appendLog func(Delta) (uint64, error)) (UpdateStats, error) {
+	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ep := e.cur.Load()
-	if lsn <= ep.lsn {
-		return
+	ng, touched, err := ep.g.Apply(d)
+	if err != nil {
+		return UpdateStats{}, err
 	}
-	e.publish(&epoch{g: ep.g, metaIx: ep.metaIx, classes: ep.classes, version: ep.version, lsn: lsn})
+	lsn, err := appendLog(d)
+	if err != nil {
+		return UpdateStats{}, err
+	}
+	if lsn <= ep.lsn {
+		panic(fmt.Sprintf("semprox: log assigned LSN %d at or below engine LSN %d: log and engine misaligned", lsn, ep.lsn))
+	}
+	return e.commit(start, ep, d, ng, touched, lsn, 1), nil
 }
 
 // applyUpdate builds and publishes the next epoch covering `records`
@@ -154,6 +169,13 @@ func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, err
 	if err != nil {
 		return UpdateStats{}, err
 	}
+	return e.commit(start, ep, d, ng, touched, lsn, records), nil
+}
+
+// commit re-matches the neighborhood d touched on ng (ep's graph with d
+// applied) and publishes the next epoch at lsn. It cannot fail. Caller
+// holds e.mu.
+func (e *Engine) commit(start time.Time, ep *epoch, d Delta, ng *graph.Graph, touched []graph.NodeID, lsn uint64, records int) UpdateStats {
 	if records > 1 {
 		// One Apply bumped the graph version once; a coalesced batch must
 		// advance it once per record it covers, so the epoch counter stays
@@ -212,7 +234,7 @@ func (e *Engine) applyUpdate(d Delta, lsn uint64, records int) (UpdateStats, err
 	st.Pending = nep.pending
 	engApply.Since(start)
 	engRematched.Observe(int64(st.Rematched))
-	return st, nil
+	return st
 }
 
 // patchClass rebuilds one trained class for the next epoch: the weight

@@ -205,6 +205,65 @@ func TestApplyUpdateErrors(t *testing.T) {
 	}
 }
 
+// TestApplyUpdateLoggedValidatesBeforeLogging: a delta the engine
+// rejects never reaches the log, and a failing log append publishes
+// nothing — either way epoch, LSN and snapshot bytes stay put. An
+// accepted delta applies at the LSN the log assigned, and an LSN at or
+// below the engine's is an invariant violation.
+func TestApplyUpdateLoggedValidatesBeforeLogging(t *testing.T) {
+	eng, g := toyEngine(t)
+	eng.Train("classmate", classmateExamples(g))
+	save := func() []byte {
+		var b bytes.Buffer
+		if err := eng.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	before := save()
+	logFails := fmt.Errorf("disk on fire")
+	for _, tc := range []struct {
+		name       string
+		d          Delta
+		appendErr  error
+		wantLogged bool
+	}{
+		{"unknown type", Delta{Nodes: []DeltaNode{{Type: "alien", Value: "x"}}}, nil, false},
+		{"out-of-range edge", Delta{Edges: []Edge{{U: 0, V: 10_000}}}, nil, false},
+		{"failing append", Delta{Nodes: []DeltaNode{{Type: "user", Value: "Zoe"}}}, logFails, true},
+	} {
+		logged := false
+		_, err := eng.ApplyUpdateLogged(tc.d, func(Delta) (uint64, error) {
+			logged = true
+			return 1, tc.appendErr
+		})
+		if err == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+		if tc.appendErr != nil && err != tc.appendErr {
+			t.Fatalf("%s: err = %v, want the append error as is", tc.name, err)
+		}
+		if logged != tc.wantLogged {
+			t.Fatalf("%s: appendLog called = %v, want %v", tc.name, logged, tc.wantLogged)
+		}
+		if eng.Epoch() != 0 || eng.LSN() != 0 || !bytes.Equal(save(), before) {
+			t.Fatalf("%s: rejected update changed the engine (epoch %d, LSN %d)", tc.name, eng.Epoch(), eng.LSN())
+		}
+	}
+
+	d := Delta{Nodes: []DeltaNode{{Type: "user", Value: "Zoe"}}}
+	st, err := eng.ApplyUpdateLogged(d, func(Delta) (uint64, error) { return 7, nil })
+	if err != nil || st.LSN != 7 || eng.LSN() != 7 || eng.Epoch() != 1 {
+		t.Fatalf("accepted update: stats %+v, err %v, engine LSN %d epoch %d", st, err, eng.LSN(), eng.Epoch())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an LSN at or below the engine's did not panic")
+		}
+	}()
+	eng.ApplyUpdateLogged(d, func(Delta) (uint64, error) { return 7, nil }) //nolint:errcheck // panics
+}
+
 // TestQueriesServeDuringUpdate hammers Query/QueryBatch/Proximity from
 // many goroutines while updates and compactions swap epochs underneath.
 // Every observed ranking must equal the pre-update or the post-update

@@ -1,23 +1,21 @@
-# Tier-1 verification plus the invariants this repo adds on top:
+# Tier-1 verification plus the invariants this repo adds on top. `make
+# ci` runs the same checks as the CI workflow's check, race and smokes
+# jobs:
 #   make ci  — lint (gofmt + vet + the semproxlint analyzer suite),
 #              build, race-enabled tests, the
 #              per-package coverage floors (learning core, serving layer,
 #              public api + client, WAL, replica, load statistics),
 #              vet + tests of the benchmark module (perfbench/), a
-#              bench smoke run that cross-checks parallel vs serial
-#              results on the offline index build and the online sharded
-#              top-k scan, runs a live ApplyUpdate cycle cross-checked
-#              against a from-scratch rebuild, a WAL append/replay cycle,
-#              and an in-process routed-serving cycle (1 primary + 2
-#              followers, routed == direct), a two-process replication
+#              bounded fuzz smoke, a two-process replication
 #              smoke (primary + follower on loopback), a routing smoke
 #              (routed client failover across a primary kill), a
 #              failover smoke (kill -9 the primary under a live write
 #              stream: promotion, no lost acked writes, zombie fencing),
-#              an open-loop load smoke (Poisson arrivals against the
-#              self-hosted serving stack, error-free with consistent
-#              percentiles), the load gate (fresh p99 at each scenario's
-#              gate rate vs the committed BENCH_load.json), and the edge
+#              the open-loop load smokes (Poisson arrivals against the
+#              self-hosted serving stack and against real semproxd
+#              processes, error-free with consistent percentiles), the
+#              load gate (fresh p99 at each scenario's gate rate vs the
+#              committed BENCH_load.json), and the edge
 #              proxy smoke (semproxy over real semproxd processes:
 #              epoch-keyed cache flush + zero failed reads across a
 #              primary kill), and the observability smoke (/metrics on
@@ -26,9 +24,9 @@
 GO ?= go
 COVER_FLOOR ?= 80
 
-.PHONY: ci lint vet build test cover perfbench-check fuzz-smoke bench-smoke bench replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-smoke-e2e load-gate load-bench proxy-bench
+.PHONY: ci lint vet build test cover perfbench-check fuzz-smoke replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-smoke-e2e load-gate load-bench proxy-bench
 
-ci: lint build test cover perfbench-check fuzz-smoke bench-smoke replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-gate
+ci: lint build test cover perfbench-check fuzz-smoke replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-smoke-e2e load-gate
 
 # gofmt must be a no-op, vet must be clean, and the repo's own analyzer
 # suite (cmd/semproxlint: rawpath, atomicwrite, metricname, envelope,
@@ -99,17 +97,6 @@ cover:
 			|| { echo "FAIL: $$pkg statement coverage $$pct% is below the $$floor% floor"; exit 1; }; \
 	done
 
-# Quick end-to-end bench: verifies identical parallel/serial results for
-# the offline build AND the online sharded scan, runs one live
-# ApplyUpdate cycle whose patched index must match a from-scratch rebuild
-# byte-for-byte, runs a WAL append/replay/reopen cycle that must lose no
-# record, and stands up the routed-serving stack (primary + 2 followers
-# in-process) whose routed answers must be element-identical to direct
-# primary answers — all without touching the committed BENCH_*.json
-# files. Exits non-zero on any drift.
-bench-smoke:
-	$(GO) run ./cmd/bench -reps 1 -workers 1,4 -out - -online-out - -update-out - -wal-out - -routing-out - -failover-out -
-
 # Two-process replication smoke: durable primary + follower on loopback,
 # live updates pushed through the typed client (semproxctl), follower
 # must reach lag 0 and serve byte-identical query output, legacy aliases
@@ -171,12 +158,6 @@ load-smoke-e2e:
 # or when any request errors.
 load-gate:
 	$(GO) run ./cmd/loadgen -mode gate -out -
-
-# Full benchmark; rewrites BENCH_offline.json, BENCH_online.json,
-# BENCH_update.json, BENCH_wal.json, BENCH_routing.json and
-# BENCH_failover.json (commit them to extend the perf trajectory).
-bench:
-	$(GO) run ./cmd/bench
 
 # Full open-loop load sweep; rewrites BENCH_load.json with per-rate
 # latency percentiles and each scenario's max sustainable QPS under its

@@ -195,8 +195,8 @@ func BenchmarkMatchQuickSI(b *testing.B) {
 // BenchmarkOfflineIndexBuild measures the offline matching+indexing phase
 // (the dominant cost of Table III) across worker counts. On multicore
 // hardware the build scales near-linearly: matching fans out one metagraph
-// per worker and the parts merge by offset. cmd/bench wraps the same
-// measurement into BENCH_offline.json for the perf trajectory.
+// per worker and the parts merge by offset. TestParallelBuildMatchesSerial
+// (internal/index) checks that every worker count builds the serial index.
 func BenchmarkOfflineIndexBuild(b *testing.B) {
 	ds := benchDataset()
 	pats := mining.ProximityFilter(
@@ -251,9 +251,8 @@ func BenchmarkOnlineQuery(b *testing.B) {
 }
 
 // BenchmarkRankTop measures the sharded online top-k scan behind /query
-// across worker counts. cmd/bench wraps the same measurement (plus a
-// serial/sharded equality gate) into BENCH_online.json for the perf
-// trajectory.
+// across worker counts. TestRankTopShardedMatchesSerial (internal/core)
+// checks that every worker count ranks exactly like the serial scan.
 func BenchmarkRankTop(b *testing.B) {
 	g, ix := benchIndex(b)
 	w := core.UniformWeights(ix.NumMeta())

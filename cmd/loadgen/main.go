@@ -1,7 +1,7 @@
 // Command loadgen is the open-loop load harness behind BENCH_load.json —
-// the latency-percentile half of the perf trajectory, where cmd/bench's
-// closed-loop best-of-reps numbers are structurally blind: queueing,
-// tail latency, and coordinated omission.
+// the latency-percentile half of the perf trajectory, where closed-loop
+// numbers (the `go test -bench` micro-benchmarks) are structurally blind:
+// queueing, tail latency, and coordinated omission.
 //
 // It stands up the real serving stack (a durable primary plus streaming
 // followers, reached through the public client.Router — or an external

@@ -197,7 +197,7 @@ func (e *Engine) NumMetagraphs() int { return len(e.ms) }
 //
 // index.MatchParts cannot fail: its only returns are the part indices
 // (one per input metagraph, always populated) and the per-metagraph
-// wall-clock durations that cmd/bench reports — there is no error to
+// wall-clock durations the Table III report uses — there is no error to
 // propagate here, only timing data this path has no use for.
 func (e *Engine) matchMissing(ep *epoch, metaIx []*index.Index, indices []int) []*index.Index {
 	pending := make([]int, 0, len(indices))

@@ -6,7 +6,7 @@
 // rename on one filesystem, which is what makes it atomic.
 //
 // One implementation serves every writer that needs the pattern — engine
-// snapshots (cmd/semproxd), benchmark reports (cmd/bench), the WAL's
+// snapshots (cmd/semproxd), load reports (cmd/loadgen), the WAL's
 // term sidecar (internal/wal) — so a future durability fix lands in one
 // place.
 package atomicfile

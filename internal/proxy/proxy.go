@@ -196,7 +196,7 @@ func New(r *client.Router, opts Options) *Proxy {
 	reg.RegisterGaugeFunc("semprox_router_live_followers",
 		"Followers currently in the read rotation.",
 		func() float64 { return float64(len(r.Live())) })
-	p.buildWrap(nil, 0)
+	p.SetRequestLog(nil, 0)
 	return p
 }
 
@@ -209,8 +209,12 @@ const (
 	helpCacheLookups   = "Response cache lookups at the current epoch, by result."
 )
 
-// buildWrap (re)wraps the mux with the obs middleware.
-func (p *Proxy) buildWrap(logger *slog.Logger, slow time.Duration) {
+// SetRequestLog (re)wraps the mux with the obs middleware, enabling one
+// structured log line per request on logger — endpoint, status,
+// latency, trace ID, epoch, cache disposition, backend and hedge
+// outcome — escalated to Warn when a request takes at least slow (0
+// never escalates). A nil logger logs nothing. Call before serving.
+func (p *Proxy) SetRequestLog(logger *slog.Logger, slow time.Duration) {
 	p.wrap = obs.WrapHTTP(p.mux, obs.HTTPOptions{
 		Registry:      p.reg,
 		TraceHeader:   api.HeaderTrace,
@@ -221,14 +225,6 @@ func (p *Proxy) buildWrap(logger *slog.Logger, slow time.Duration) {
 		EpochHeader:   api.HeaderEpoch,
 		CacheHeader:   HeaderCache,
 	})
-}
-
-// SetRequestLog enables one structured log line per request on logger —
-// endpoint, status, latency, trace ID, epoch, cache disposition, backend
-// and hedge outcome — escalated to Warn when a request takes at least
-// slow (0 never escalates). Call before serving.
-func (p *Proxy) SetRequestLog(logger *slog.Logger, slow time.Duration) {
-	p.buildWrap(logger, slow)
 }
 
 // ServeHTTP implements http.Handler.

@@ -1,5 +1,5 @@
-// Package report is the one place bench-style tools (cmd/bench,
-// cmd/loadgen) turn a report struct into a committed BENCH_*.json file:
+// Package report is where cmd/loadgen turns a report struct into a
+// committed BENCH_*.json file (BENCH_load.json, BENCH_proxy.json):
 // two-space-indented JSON with a trailing newline, written atomically
 // (temp + fsync + rename via internal/atomicfile) so a failed run never
 // leaves a partial trajectory point behind, with "-" as the conventional

@@ -161,12 +161,17 @@ func New(eng *semprox.Engine) *Server {
 	s.reg.RegisterGaugeFunc("semprox_engine_lsn",
 		"Durable log position of the serving epoch.",
 		func() float64 { return float64(s.engine().LSN()) })
-	s.buildWrap(nil, 0)
+	s.SetRequestLog(nil, 0)
 	return s
 }
 
-// buildWrap (re)wraps the mux with the obs middleware.
-func (s *Server) buildWrap(logger *slog.Logger, slow time.Duration) {
+// SetRequestLog (re)wraps the mux with the obs middleware, enabling one
+// structured log line per request on logger — endpoint, status,
+// latency, trace ID, serving epoch — escalated to Warn when a request
+// takes at least slow (0 never escalates). A nil logger logs nothing:
+// the daemons enable logging, in-process test stacks stay quiet by
+// default. Call before serving.
+func (s *Server) SetRequestLog(logger *slog.Logger, slow time.Duration) {
 	s.wrap = obs.WrapHTTP(s.mux, obs.HTTPOptions{
 		Registry:      s.reg,
 		TraceHeader:   api.HeaderTrace,
@@ -176,15 +181,6 @@ func (s *Server) buildWrap(logger *slog.Logger, slow time.Duration) {
 		PathLabel:     api.PathLabel,
 		EpochHeader:   api.HeaderEpoch,
 	})
-}
-
-// SetRequestLog enables one structured log line per request on logger —
-// endpoint, status, latency, trace ID, serving epoch — escalated to Warn
-// when a request takes at least slow (0 never escalates). The daemons
-// enable this; in-process test stacks stay quiet by default. Call before
-// serving.
-func (s *Server) SetRequestLog(logger *slog.Logger, slow time.Duration) {
-	s.buildWrap(logger, slow)
 }
 
 // AttachWAL makes the server a primary: every accepted update is

@@ -152,47 +152,79 @@ func TestSinceAndWaitSince(t *testing.T) {
 	}
 }
 
-// TestGroupCommitConcurrent hammers Append from many goroutines; run with
-// -race this pins the group-commit path. Every LSN must come back unique
-// and the replayed log must hold exactly the appended set.
+// TestGroupCommitConcurrent hammers the group-commit path from many
+// goroutines; run with -race this pins it. In "blocking" mode every
+// writer calls Append; in "pipelined" mode every writer streams
+// AppendAsync and then waits once, WaitDurable on its last LSN. Either
+// way the LSN set must be contiguous, everything must be durable once
+// the writers return, and replay must give back exactly the delta
+// appended at each LSN.
 func TestGroupCommitConcurrent(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers, perWriter = 8, 25
-	lsns := make([][]uint64, writers)
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				lsn, err := w.Append(delta(g*1000 + i))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				lsns[g] = append(lsns[g], lsn)
-			}
-		}(g)
-	}
-	wg.Wait()
-	var all []uint64
-	for _, ls := range lsns {
-		all = append(all, ls...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	for i, lsn := range all {
-		if lsn != uint64(i+1) {
-			t.Fatalf("lsn set not contiguous at %d: %d", i, lsn)
+	for _, pipelined := range []bool{false, true} {
+		name := "blocking"
+		if pipelined {
+			name = "pipelined"
 		}
-	}
-	if recs := collect(t, w, 0); len(recs) != writers*perWriter {
-		t.Fatalf("replayed %d records, want %d", len(recs), writers*perWriter)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+		t.Run(name, func(t *testing.T) {
+			w, err := Open(t.TempDir(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendFn := w.Append
+			if pipelined {
+				appendFn = w.AppendAsync
+			}
+			const writers, perWriter = 8, 25
+			lsns := make([][]uint64, writers)
+			var wg sync.WaitGroup
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						lsn, err := appendFn(delta(g*1000 + i))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						lsns[g] = append(lsns[g], lsn)
+					}
+					if err := w.WaitDurable(lsns[g][perWriter-1]); err != nil {
+						t.Error(err)
+					}
+				}(g)
+			}
+			wg.Wait()
+			if got := w.DurableLSN(); got != writers*perWriter {
+				t.Fatalf("durable = %d, want %d", got, writers*perWriter)
+			}
+			want := map[uint64]int{} // LSN -> delta index
+			var all []uint64
+			for g, ls := range lsns {
+				for i, lsn := range ls {
+					want[lsn] = g*1000 + i
+					all = append(all, lsn)
+				}
+			}
+			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+			for i, lsn := range all {
+				if lsn != uint64(i+1) {
+					t.Fatalf("lsn set not contiguous at %d: %d", i, lsn)
+				}
+			}
+			recs := collect(t, w, 0)
+			if len(recs) != writers*perWriter {
+				t.Fatalf("replayed %d records, want %d", len(recs), writers*perWriter)
+			}
+			for _, r := range recs {
+				if !reflect.DeepEqual(r.Delta, delta(want[r.LSN])) {
+					t.Fatalf("record %d: delta %+v, want %+v", r.LSN, r.Delta, delta(want[r.LSN]))
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -473,16 +505,24 @@ func TestAppendAfterCloseFails(t *testing.T) {
 }
 
 // BenchmarkWALAppend measures the group-commit append path. The parallel
-// variant is where batching pays: many goroutines share each fsync.
+// variant is where batching pays: many goroutines share each fsync. The
+// pipelined variant is one writer streaming AppendAsync with a single
+// WaitDurable at the end: it keeps appending while the previous batch
+// fsyncs, so it shows what blocking on every Append costs (serial vs
+// pipelined).
 func BenchmarkWALAppend(b *testing.B) {
 	d := delta(7)
-	b.Run("serial", func(b *testing.B) {
+	open := func(b *testing.B) *WAL {
 		w, err := Open(b.TempDir(), Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer w.Close()
+		b.Cleanup(func() { w.Close() })
 		b.ResetTimer()
+		return w
+	}
+	b.Run("serial", func(b *testing.B) {
+		w := open(b)
 		for i := 0; i < b.N; i++ {
 			if _, err := w.Append(d); err != nil {
 				b.Fatal(err)
@@ -490,12 +530,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		w, err := Open(b.TempDir(), Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer w.Close()
-		b.ResetTimer()
+		w := open(b)
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
 				if _, err := w.Append(d); err != nil {
@@ -503,6 +538,20 @@ func BenchmarkWALAppend(b *testing.B) {
 				}
 			}
 		})
+	})
+	b.Run("pipelined", func(b *testing.B) {
+		w := open(b)
+		var last uint64
+		for i := 0; i < b.N; i++ {
+			lsn, err := w.AppendAsync(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			last = lsn
+		}
+		if err := w.WaitDurable(last); err != nil {
+			b.Fatal(err)
+		}
 	})
 }
 

@@ -11,22 +11,21 @@
 #              (routed client failover across a primary kill), a
 #              failover smoke (kill -9 the primary under a live write
 #              stream: promotion, no lost acked writes, zombie fencing),
-#              the open-loop load smokes (Poisson arrivals against the
-#              self-hosted serving stack and against real semproxd
-#              processes, error-free with consistent percentiles), the
-#              load gate (fresh p99 at each scenario's gate rate vs the
-#              committed BENCH_load.json), and the edge
-#              proxy smoke (semproxy over real semproxd processes:
-#              epoch-keyed cache flush + zero failed reads across a
-#              primary kill), and the observability smoke (/metrics on
-#              real daemons with moving counters, one trace ID across
-#              the proxy and backend request logs, pprof answering).
+#              the edge proxy smoke (semproxy over real semproxd
+#              processes: epoch-keyed cache flush + zero failed reads
+#              across a primary kill), the observability smoke
+#              (/metrics on real daemons with moving counters, one trace
+#              ID across the proxy and backend request logs, pprof
+#              answering), and the benchmark smoke (a short perfbench
+#              run of each workload through the deployed edge -> replica
+#              stack: every answer checked, no failed operation, client
+#              and proxy request counts equal).
 GO ?= go
 COVER_FLOOR ?= 80
 
-.PHONY: ci lint vet build test cover perfbench-check fuzz-smoke replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-smoke-e2e load-gate load-bench proxy-bench
+.PHONY: ci lint vet build test cover perfbench-check perfbench-smoke fuzz-smoke replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke
 
-ci: lint build test cover perfbench-check fuzz-smoke replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke load-smoke load-smoke-e2e load-gate
+ci: lint build test cover perfbench-check fuzz-smoke replication-smoke routing-smoke failover-smoke proxy-smoke obs-smoke perfbench-smoke
 
 # gofmt must be a no-op, vet must be clean, and the repo's own analyzer
 # suite (cmd/semproxlint: rawpath, atomicwrite, metricname, envelope,
@@ -82,7 +81,7 @@ test:
 # replica's network-failure arms keep those two below the default), so
 # any drop is a regression, not noise.
 COVER_PKGS ?= internal/core internal/server api client \
-	internal/wal:80 internal/replica:75 internal/loadstats:90 internal/report:85 \
+	internal/wal:80 internal/replica:75 internal/loadstats:90 \
 	internal/proxy:85 internal/obs:85 internal/lint:90
 cover:
 	@for entry in $(COVER_PKGS); do \
@@ -137,37 +136,12 @@ proxy-smoke:
 obs-smoke:
 	bash scripts/obs_smoke.sh
 
-# Open-loop load smoke: stand up the real serving stack (durable primary
-# + 2 followers behind the routed client, in-process), fire every
-# scenario's Poisson stream at its gate rate for a short deterministic
-# window, and fail on any request error or inconsistent percentile
-# slate. Touches no committed files.
-load-smoke:
-	$(GO) run ./cmd/loadgen -mode smoke -out -
-
-# The same open-loop smoke fired at real semproxd processes (primary +
-# 2 followers on loopback) through loadgen's external mode — the
-# cross-check that the harness and the daemon wiring agree (see
-# scripts/load_smoke.sh).
-load-smoke-e2e:
-	bash scripts/load_smoke.sh
-
-# Load regression gate: a fresh short run at each scenario's gate rate,
-# compared against the committed BENCH_load.json. Fails when a fresh p99
-# exceeds baseline_p99 * 3 + 25ms (explicit tolerances — see cmd/loadgen)
-# or when any request errors.
-load-gate:
-	$(GO) run ./cmd/loadgen -mode gate -out -
-
-# Full open-loop load sweep; rewrites BENCH_load.json with per-rate
-# latency percentiles and each scenario's max sustainable QPS under its
-# p99 SLO (commit it to extend the load trajectory).
-load-bench:
-	$(GO) run ./cmd/loadgen
-
-# Edge-tier A/B; rewrites BENCH_proxy.json: hedged vs unhedged p99 with
-# an injected straggler follower, and cache-on vs cache-off max
-# sustainable QPS under the Zipf-hot scenario (commit it to extend the
-# perf trajectory).
-proxy-bench:
-	$(GO) run ./cmd/loadgen -mode proxy
+# Benchmark smoke: a 2-second perfbench run of each workload. It stands
+# up the deployed stack (primary + 2 followers behind the edge proxy),
+# and a run exits 1 on a wrong answer, a failed operation, a
+# client/proxy request-count mismatch or a phase whose generator fell
+# off its schedule. The timings of so short a run are not a measurement;
+# `bash perfbench/run.sh --workload W --seconds 40 --repeat 10` is.
+perfbench-smoke:
+	bash perfbench/run.sh --workload hot_reads --seed 1 --seconds 2
+	bash perfbench/run.sh --workload cold_batch --seed 1 --seconds 2

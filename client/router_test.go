@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -313,11 +315,46 @@ func (rh *routedHarness) waitAllReady(t *testing.T) {
 	t.Fatalf("only %d/%d followers ever became ready", rh.router.Probe(ctx), len(rh.followers))
 }
 
+// opRequests sums semprox_http_requests_total over the operation paths
+// (query, proximity, update; every status class) on each base URL's
+// /metrics. Probes, replication and scrapes land on other paths, so at
+// quiescence a delta of this sum counts exactly the operations clients
+// sent.
+func opRequests(t *testing.T, bases []string) uint64 {
+	t.Helper()
+	var total uint64
+	for _, base := range bases {
+		expo, err := client.New(base, nil).Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(expo, "\n") {
+			series, val, ok := strings.Cut(line, "} ")
+			if !ok || !strings.HasPrefix(series, "semprox_http_requests_total{") {
+				continue
+			}
+			for _, p := range []string{api.PathQuery, api.PathProximity, api.PathUpdate} {
+				if strings.Contains(series, `path="`+p+`"`) {
+					n, err := strconv.ParseUint(val, 10, 64)
+					if err != nil {
+						t.Fatalf("%s/metrics: malformed sample %q", base, line)
+					}
+					total += n
+				}
+			}
+		}
+	}
+	return total
+}
+
 // TestRoutedEqualsDirectUnderConcurrentUpdates is the acceptance
 // criterion's first half: reader goroutines hammer the Router while the
 // primary applies live updates (run with -race via make test) — every
 // routed read must succeed — and at quiescence every routed query is
 // element-identical to the same query asked of the primary directly.
+// The backends' request counters must agree with the client: across
+// the quiescent loop, the primary and followers together count exactly
+// the routed and direct queries sent.
 func TestRoutedEqualsDirectUnderConcurrentUpdates(t *testing.T) {
 	rh := newRoutedHarness(t, 2)
 	rh.waitAllReady(t)
@@ -378,24 +415,42 @@ func TestRoutedEqualsDirectUnderConcurrentUpdates(t *testing.T) {
 		waitReady(t, f)
 	}
 	rh.waitAllReady(t)
+	backends := []string{rh.h.ts.URL}
+	for _, fts := range rh.fservers {
+		backends = append(backends, fts.URL)
+	}
+	before := opRequests(t, backends)
 	direct := client.New(rh.h.ts.URL, rh.h.ts.Client())
 	g := rh.h.eng.Graph()
 	users := g.NodesOfType(g.Types().ID("user"))
+	var sent uint64
 	for _, q := range users {
 		name := g.Name(q)
 		want, err := direct.Query(ctx, "classmate", name, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sent++
 		for rep := 0; rep < 3; rep++ { // hit every replica in rotation
 			got, err := rh.router.Query(ctx, "classmate", name, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sent++
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("routed query %q diverged from direct:\n got %+v\nwant %+v", name, got, want)
 			}
 		}
+	}
+	// The middleware counts a request after its response is written, so
+	// the last few may still be in flight; wait a bounded time for them.
+	served := opRequests(t, backends) - before
+	for deadline := time.Now().Add(2 * time.Second); served < sent && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		served = opRequests(t, backends) - before
+	}
+	if served != sent {
+		t.Fatalf("backends counted %d operation requests, the client sent %d (/metrics cross-check)", served, sent)
 	}
 	// The spread was real: every follower served reads.
 	counts := rh.router.Counts()

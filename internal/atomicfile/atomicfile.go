@@ -6,9 +6,9 @@
 // rename on one filesystem, which is what makes it atomic.
 //
 // One implementation serves every writer that needs the pattern — engine
-// snapshots (cmd/semproxd), load reports (cmd/loadgen), the WAL's
-// term sidecar (internal/wal) — so a future durability fix lands in one
-// place.
+// snapshots (cmd/semproxd), a durable follower's bootstrap snapshot
+// (internal/replica), the WAL's term sidecar (internal/wal) — so a
+// future durability fix lands in one place.
 package atomicfile
 
 import (

@@ -1,7 +1,8 @@
-// Package loadstats is the latency-distribution math behind the open-loop
-// load harness (cmd/loadgen): a fixed-size log-linear histogram of int64
-// nanosecond durations in the HDR-histogram style, with streaming inserts,
-// exact lossless merge, and rank-based quantiles.
+// Package loadstats is the latency-distribution math behind the metric
+// registry's histograms (internal/obs) and the edge proxy's per-backend
+// hedge budgets (internal/proxy): a fixed-size log-linear histogram of
+// int64 nanosecond durations in the HDR-histogram style, with streaming
+// inserts, exact lossless merge, and rank-based quantiles.
 //
 // The bucket layout trades a bounded relative error for O(1) inserts and a
 // few KiB of memory: values below 2^subBits are recorded exactly, and every
@@ -17,7 +18,6 @@
 package loadstats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"time"
@@ -170,18 +170,18 @@ func (h *Hist) Merge(other *Hist) {
 	}
 }
 
-// Summary is the fixed percentile slate the load reports carry.
+// Summary is a fixed percentile slate, in milliseconds.
 type Summary struct {
-	Count  uint64  `json:"count"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P90Ms  float64 `json:"p90_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	P999Ms float64 `json:"p99_9_ms"`
-	MaxMs  float64 `json:"max_ms"`
+	Count  uint64
+	MeanMs float64
+	P50Ms  float64
+	P90Ms  float64
+	P99Ms  float64
+	P999Ms float64
+	MaxMs  float64
 }
 
-// Summarize extracts the report slate, in milliseconds.
+// Summarize extracts the percentile slate, in milliseconds.
 func (h *Hist) Summarize() Summary {
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
 	return Summary{
@@ -193,10 +193,4 @@ func (h *Hist) Summarize() Summary {
 		P999Ms: ms(h.Quantile(0.999)),
 		MaxMs:  ms(h.Max()),
 	}
-}
-
-// String renders the slate for logs.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d p50=%.2fms p99=%.2fms p99.9=%.2fms max=%.2fms",
-		s.Count, s.P50Ms, s.P99Ms, s.P999Ms, s.MaxMs)
 }

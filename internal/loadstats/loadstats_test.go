@@ -247,14 +247,11 @@ func TestMergeEmptyAndNil(t *testing.T) {
 	}
 }
 
-func TestSummaryMonotonicAndString(t *testing.T) {
+func TestSummaryMonotonic(t *testing.T) {
 	h, _ := randHist(rand.New(rand.NewSource(5)), 10000)
 	s := h.Summarize()
 	if !(s.P50Ms <= s.P90Ms && s.P90Ms <= s.P99Ms && s.P99Ms <= s.P999Ms && s.P999Ms <= s.MaxMs) {
 		t.Fatalf("percentiles not monotonic: %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty summary string")
 	}
 }
 

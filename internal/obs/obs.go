@@ -101,8 +101,8 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Nanoseconds()
 func (h *Histogram) Since(start time.Time) { h.ObserveDuration(time.Since(start)) }
 
 // Summary snapshots the loadstats percentile slate (milliseconds for
-// nanosecond samples) — the bridge the property tests and load reports
-// use to compare registry histograms against direct loadstats math.
+// nanosecond samples) — the bridge the property tests use to compare
+// registry histograms against direct loadstats math.
 func (h *Histogram) Summary() loadstats.Summary {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -97,7 +97,8 @@ type Server struct {
 	// families (WAL, replica, engine hot paths) live on the obs default
 	// registry; /metrics renders the union, so one scrape sees both —
 	// and in-process multi-server stacks keep per-server HTTP counters
-	// separable, which is what lets loadgen cross-check request counts.
+	// separable, which is what lets a test cross-check each backend's
+	// request count against what its client sent.
 	reg *obs.Registry
 	// wrap is mux behind the obs middleware (tracing, metrics, request
 	// log). Rebuilt by SetRequestLog — call that before serving.
